@@ -48,11 +48,12 @@ from .core import (
     bloch_vector,
     build_control,
     build_total,
+    control_element,
     level_ordering,
     require_unitary,
     wrap_phase,
 )
-from .propagator import PulseSchedule, schedule_operator
+from .propagator import PulseSchedule, _evolve, schedule_operator
 
 _SIGNS = {"+": 1, "-": -1}
 
@@ -178,8 +179,7 @@ def _advance(state: QuditState, params: ModelParams,
              pulses: tuple[PulseParams, ...]) -> QuditState:
     vec = state.amplitudes
     for p in pulses:
-        w, V = np.linalg.eigh(effective_hamiltonian(params, p))
-        vec = V @ (np.exp(-1j * w * p.T) * (V.conj().T @ vec))
+        vec = _evolve(effective_hamiltonian(params, p), p.T, vec)
     return QuditState.from_vector(vec, normalize=True)
 
 
@@ -204,8 +204,8 @@ def _solve_pair_rotation(params: ModelParams, omega_01: float,
     case falls back to azimuth 0 through atan2(0,0) = 0.
     """
     tpos, opos = target.position(), other.position()
-    h0 = build_control(params, omega_01, 0.0, 0.0)[tpos, opos]
-    h1 = build_control(params, omega_01, 0.5, 0.0)[tpos, opos]
+    h0 = control_element(params, omega_01, 0.0, tpos, opos)
+    h1 = control_element(params, omega_01, 0.5, tpos, opos)
     phi_01, theta = _pair_axis(h0, h1, u)
     return phi_01, theta / (2.0 * abs(h0))
 
@@ -294,8 +294,7 @@ def _doublet_senses() -> tuple[int, int]:
     dt = 1e-3
     senses = []
     for phi_1r, component, flip in ((math.pi, 1, 1), (math.pi / 2, 2, -1)):
-        w, V = np.linalg.eigh(build_total(params, PulseParams(dt, 1.0, phi_1r)))
-        vec = V @ (np.exp(-1j * w * dt) * (V.conj().T @ start.amplitudes))
+        vec = _evolve(build_total(params, PulseParams(dt, 1.0, phi_1r)), dt, start.amplitudes)
         u, _ = bloch_vector(QuditState.from_vector(vec, normalize=True), pair)
         senses.append(1 if flip * u[component] > 0 else -1)
     return senses[0], senses[1]
@@ -676,7 +675,7 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
         return _FoldPropagator(reduce(lambda acc, u: u @ acc, steps),
                                reduce(lambda acc, u: u @ acc, steps[::-1]), w, V, levels)
 
-    h1 = complex(build_control(params, omega_01, 0.5, 0.0)[pair])
+    h1 = complex(control_element(params, omega_01, 0.5, *pair))
     return _ShapedFold(target, other, complex(control[pair]), h1,
                        tuple(p for p, _ in edge), flat, propagator(lambda H: H),
                        propagator(lambda H: _effective(H, pair, light_shifts=True)))

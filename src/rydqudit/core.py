@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,6 +129,10 @@ class PulseParams:
                 raise ValueError(f"pulse parameter {name} must be finite")
         if self.T < 0:
             raise ValueError(f"pulse duration must be >= 0, got {self.T}")
+        for name in ("omega_1r", "omega_01"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"pulse amplitude {name} must be >= 0, got {value}")
         object.__setattr__(self, "phi_1r", wrap_phase(self.phi_1r))
         object.__setattr__(self, "phi_01", wrap_phase(self.phi_01))
 
@@ -224,13 +229,66 @@ def jc_energy(q: int, sign: int, omega_1r: float, phi_1r: float) -> float:
     return flip * sign * omega_1r * math.sqrt(q) / 2.0
 
 
-def _pair_block(H: np.ndarray, up: int, down: int, nx: float, ny: float, nz: float,
-                scale: float) -> None:
-    """Add scale * (n . sigma) on the ordered pair (up, down), in place."""
-    H[up, up] += scale * nz
-    H[down, down] -= scale * nz
-    H[up, down] += scale * (nx - 1j * ny)
-    H[down, up] += scale * (nx + 1j * ny)
+@dataclass(frozen=True, eq=False)
+class _Template:
+    """Atom-count-dependent index arrays and real coefficients of the builders.
+
+    Indices are flat offsets into a (2N+1) x (2N+1) matrix.  Control pair k
+    puts its coefficient ``coef[k]`` (K_N^q, -Q_N^q or +/-sqrt(N/2)) at
+    (up, down), offset ``pair[k]``, and its conjugate at (down, up), offset
+    ``pair_t[k]``; ``pairs`` maps (up, down) positions back to k.
+    ``excited`` holds the diagonal offsets of the |s,q> levels and ``q``
+    their excitation numbers.  Doublet q of the bare part has the diagonal
+    offsets ``plus[q-1]`` and ``minus[q-1]``, the coupling offsets
+    ``plus_minus[q-1]`` and ``minus_plus[q-1]`` and the scale ``sqrt_q[q-1]``.
+    All arrays are read-only.
+    """
+
+    pair: np.ndarray
+    pair_t: np.ndarray
+    coef: np.ndarray
+    pairs: dict
+    excited: np.ndarray
+    q: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    plus_minus: np.ndarray
+    minus_plus: np.ndarray
+    sqrt_q: np.ndarray
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=None)
+def _template(N: int) -> _Template:
+    dim = 2 * N + 1
+    pairs: dict[tuple[int, int], float] = {}
+    for s in (+1, -1):
+        for q in range(1, N):
+            up = DressedIndex.branch(s, q + 1).position()
+            pairs[up, DressedIndex.branch(s, q).position()] = coupling_K(N, q)
+            pairs[up, DressedIndex.branch(-s, q).position()] = -coupling_Q(N, q)
+        pairs[DressedIndex.branch(s, 1).position(), 0] = s * math.sqrt(N / 2.0)
+    excited = [lvl for lvl in level_ordering(N) if not lvl.is_ground]
+    plus = [DressedIndex.branch(+1, q).position() for q in range(1, N + 1)]
+    minus = [DressedIndex.branch(-1, q).position() for q in range(1, N + 1)]
+    return _Template(
+        pair=_frozen([u * dim + d for u, d in pairs], int),
+        pair_t=_frozen([d * dim + u for u, d in pairs], int),
+        coef=_frozen(list(pairs.values()), float),
+        pairs={pair: k for k, pair in enumerate(pairs)},
+        excited=_frozen([lvl.position() * (dim + 1) for lvl in excited], int),
+        q=_frozen([lvl.q for lvl in excited], float),
+        plus=_frozen([p * (dim + 1) for p in plus], int),
+        minus=_frozen([m * (dim + 1) for m in minus], int),
+        plus_minus=_frozen([p * dim + m for p, m in zip(plus, minus)], int),
+        minus_plus=_frozen([m * dim + p for p, m in zip(plus, minus)], int),
+        sqrt_q=_frozen(np.sqrt(np.arange(1, N + 1, dtype=float)), float),
+    )
 
 
 def build_bare(params: ModelParams, phi_1r: float) -> np.ndarray:
@@ -238,15 +296,18 @@ def build_bare(params: ModelParams, phi_1r: float) -> np.ndarray:
 
     Block diagonal: zero on |g,0>, and on each doublet {|+,q>, |-,q>} the
     block (omega_1r sqrt(q)/2) * n . sigma with n = (0, -sin phi, cos phi)
-    and |+,q> as the "up" member.
+    and |+,q> as the "up" member.  Assembled in one vectorized step from the
+    cached per-N doublet positions and sqrt(q) scales.
     """
-    dim = params.dim
-    H = np.zeros((dim, dim), dtype=complex)
+    t = _template(params.N)
+    H = np.zeros((params.dim, params.dim), dtype=complex)
+    flat = H.reshape(-1)
     nx, ny, nz = 0.0, -math.sin(phi_1r), math.cos(phi_1r)
-    for q in range(1, params.N + 1):
-        up = DressedIndex.branch(+1, q).position()
-        down = DressedIndex.branch(-1, q).position()
-        _pair_block(H, up, down, nx, ny, nz, params.omega_1r * math.sqrt(q) / 2.0)
+    scale = params.omega_1r * t.sqrt_q / 2.0
+    flat[t.plus] += scale * nz
+    flat[t.minus] -= scale * nz
+    flat[t.plus_minus] += scale * (nx - 1j * ny)
+    flat[t.minus_plus] += scale * (nx + 1j * ny)
     return H
 
 
@@ -259,28 +320,46 @@ def build_control(params: ModelParams, omega_01: float, phi_01: float,
       +K_N^q   on {|s,q+1>, |s,q>}          (same branch)
       -Q_N^q   on {|s,q+1>, |-s,q>}         (cross branch)
       +/- sqrt(N/2) on {|+/-,1>, |g,0>}     (minus sign on the |-,1> pair)
-    plus the diagonal detuning term -delta_01 * q on every |s,q>.
+    plus the diagonal detuning term -delta_01 * q on every |s,q>.  Assembled
+    in one vectorized step from the cached per-N pair positions, real
+    coefficients and excitation numbers; element (up, down) is
+    (omega_01/2 * coef) * (cos phi_01 - i sin phi_01).
     """
     if omega_01 < 0:
         raise ValueError(f"omega_01 must be >= 0, got {omega_01}")
-    N, dim = params.N, params.dim
-    H = np.zeros((dim, dim), dtype=complex)
+    t = _template(params.N)
+    H = np.zeros((params.dim, params.dim), dtype=complex)
+    flat = H.reshape(-1)
     nx, ny = math.cos(phi_01), math.sin(phi_01)
-    half = omega_01 / 2.0
-    for s in (+1, -1):
-        for q in range(1, N):
-            up = DressedIndex.branch(s, q + 1).position()
-            _pair_block(H, up, DressedIndex.branch(s, q).position(),
-                        nx, ny, 0.0, half * coupling_K(N, q))
-            _pair_block(H, up, DressedIndex.branch(-s, q).position(),
-                        nx, ny, 0.0, -half * coupling_Q(N, q))
-        _pair_block(H, DressedIndex.branch(s, 1).position(), 0,
-                    nx, ny, 0.0, s * half * math.sqrt(N / 2.0))
-    for s in (+1, -1):
-        for q in range(1, N + 1):
-            p = DressedIndex.branch(s, q).position()
-            H[p, p] -= delta_01 * q
+    scale = omega_01 / 2.0 * t.coef
+    flat[t.pair] += scale * (nx - 1j * ny)
+    flat[t.pair_t] += scale * (nx + 1j * ny)
+    flat[t.excited] -= delta_01 * t.q
     return H
+
+
+def control_element(params: ModelParams, omega_01: float, phi_01: float,
+                    row: int, col: int) -> np.complex128:
+    """Off-diagonal element [row, col] of build_control, without building it.
+
+    Equal bit for bit to ``build_control(params, omega_01, phi_01, d)[row, col]``
+    for any detuning d and row != col; zero for an uncoupled pair.
+    """
+    if omega_01 < 0:
+        raise ValueError(f"omega_01 must be >= 0, got {omega_01}")
+    if row == col:
+        raise ValueError("control_element reads off-diagonal elements only")
+    t = _template(params.N)
+    nx, ny = math.cos(phi_01), math.sin(phi_01)
+    k = t.pairs.get((row, col))
+    if k is not None:
+        axis = nx - 1j * ny
+    else:
+        k = t.pairs.get((col, row))
+        if k is None:
+            return np.complex128(0.0)
+        axis = nx + 1j * ny
+    return np.complex128(0j + omega_01 / 2.0 * float(t.coef[k]) * axis)
 
 
 def build_total(params: ModelParams, pulse: PulseParams) -> np.ndarray:

@@ -23,6 +23,7 @@ from .core import (
     build_total,
     level_ordering,
 )
+from .propagator import _evolve
 
 FULLSPACE_SITE_CAP = 8  # 3^8 = 6561 dense levels, the largest desk-scale oracle
 
@@ -227,10 +228,8 @@ def compare_evolution(g: Geometry, pulse: PulseParams, T: float,
     params = ModelParams(g.N, pulse.omega_1r) if pulse.omega_1r > 0 else ModelParams(g.N)
     B = dressed_frame(g.N)
     psi0_full = B[:, initial.position()]
-    w, V = np.linalg.eigh(build_full_hamiltonian(g, pulse))
-    psi_full = V @ (np.exp(-1j * w * T) * (V.conj().T @ psi0_full))
+    psi_full = _evolve(build_full_hamiltonian(g, pulse), T, psi0_full)
     e0 = np.zeros(params.dim, dtype=complex)
     e0[initial.position()] = 1.0
-    wd, Vd = np.linalg.eigh(build_total(params, pulse))
-    psi_dressed = B @ (Vd @ (np.exp(-1j * wd * T) * (Vd.conj().T @ e0)))
+    psi_dressed = B @ _evolve(build_total(params, pulse), T, e0)
     return float(abs(np.vdot(psi_full, psi_dressed)))

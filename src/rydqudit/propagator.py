@@ -77,14 +77,19 @@ class GateReport:
     decay_probability: Optional[float] = None
 
 
-def _eig_propagator(params: ModelParams, pulse: PulseParams):
-    H = build_total(params, pulse)
+def _evolve(H: np.ndarray, T, X: np.ndarray) -> np.ndarray:
+    """exp(-i H t) X by Hermitian eigendecomposition of H, for a vector or a matrix X.
+
+    Computes V @ (exp(-i w t) * (V^dag @ X)), the phases broadcast over the
+    columns of a matrix X.  With a 1-D array of times T and a vector X the
+    result stacks the evolved vectors, one row per time, from a single
+    eigendecomposition.
+    """
     w, V = np.linalg.eigh(H)
-    return w, V
-
-
-def _apply(w: np.ndarray, V: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
-    return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
+    coef = V.conj().T @ X
+    if np.ndim(T) == 0:
+        return V @ (np.exp(-1j * w * T).reshape((-1,) + (1,) * (X.ndim - 1)) * coef)
+    return np.array([V @ (np.exp(-1j * w * t) * coef) for t in T])
 
 
 def evolve_pulse(state: QuditState, pulse: PulseParams, params: ModelParams) -> QuditState:
@@ -96,8 +101,7 @@ def evolve_pulse(state: QuditState, pulse: PulseParams, params: ModelParams) -> 
         raise ValueError("state dimension does not match the model")
     if pulse.T == 0.0:
         return state
-    w, V = _eig_propagator(params, pulse)
-    return QuditState(_apply(w, V, pulse.T, psi))
+    return QuditState(_evolve(build_total(params, pulse), pulse.T, psi))
 
 
 def run_schedule(initial: QuditState, schedule: PulseSchedule,
@@ -123,12 +127,9 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
             states.append(psi.copy())
             boundaries.append(len(times) - 1)
             continue
-        w, V = _eig_propagator(schedule.params, pulse)
-        coef = V.conj().T @ psi
         rel = np.linspace(0.0, pulse.T, samples_per_pulse + 1)[1:]
-        for tr in rel:
-            times.append(t0 + tr)
-            states.append(V @ (np.exp(-1j * w * tr) * coef))
+        times.extend(t0 + rel)
+        states.extend(_evolve(build_total(schedule.params, pulse), rel, psi))
         boundaries.append(len(times) - 1)
         psi = states[-1].copy()
         t0 += pulse.T
@@ -142,8 +143,7 @@ def schedule_operator(schedule: PulseSchedule) -> np.ndarray:
     for pulse in schedule.pulses:
         if pulse.T == 0.0:
             continue
-        w, V = _eig_propagator(schedule.params, pulse)
-        U = V @ (np.exp(-1j * w * pulse.T)[:, None] * (V.conj().T @ U))
+        U = _evolve(build_total(schedule.params, pulse), pulse.T, U)
     return U
 
 

@@ -185,6 +185,16 @@ def test_exit_code_config_errors(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_simulate_rejects_negative_amplitude(runner, tmp_path):
+    doc = json.loads(schedule_to_json(sample_schedule()))
+    doc["pulses"][0]["omega_1r"] = -1.0
+    bad = tmp_path / "neg.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["simulate", str(bad)])
+    assert res.exit_code == 2
+    assert "omega_1r" in res.output
+
+
 def test_exit_code_numeric_failure(runner, tmp_path):
     # non-unitary matrix input must exit 3
     U = np.eye(4) * 1.2

@@ -7,6 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydqudit import compiler, core
+from rydqudit.cli import schedule_to_json
+from rydqudit.compiler import (
+    CompileOptions,
+    compile_readout,
+    compile_state_prep,
+    compile_unitary,
+)
 from rydqudit.core import (
     ContractViolation,
     DressedIndex,
@@ -17,6 +25,7 @@ from rydqudit.core import (
     build_bare,
     build_control,
     build_total,
+    control_element,
     coupling_K,
     coupling_Q,
     hadamard_target,
@@ -26,6 +35,7 @@ from rydqudit.core import (
     require_unitary,
     wrap_phase,
 )
+from rydqudit.propagator import schedule_operator
 
 # frozen from the rationalized forms sqrt(N-q)*(sqrt(q+1) +- sqrt(q))/2
 COUPLING_ORACLES = {
@@ -95,6 +105,16 @@ def test_pulse_rejects_negative_duration():
         PulseParams(-0.1)
     with pytest.raises(ValueError):
         PulseParams(float("nan"))
+
+
+def test_pulse_rejects_negative_amplitudes():
+    # a negative dressing amplitude must not pass as "dressing laser off"
+    with pytest.raises(ValueError, match="omega_1r"):
+        PulseParams(1.0, -1.0, 0.0, 0.1, 0.0, 0.0)
+    with pytest.raises(ValueError, match="omega_01"):
+        PulseParams(1.0, 1.0, 0.0, -0.1, 0.0, 0.0)
+    off = build_total(ModelParams(3), PulseParams(1.0, 0.0, 0.0, 0.1, 0.0, 0.0))
+    assert np.array_equal(off, build_control(ModelParams(3), 0.1, 0.0, 0.0))
 
 
 @given(N=ns, phi=phases)
@@ -212,3 +232,141 @@ def test_build_total_is_sum_of_parts(N, phi1, phi2, delta):
     pulse = PulseParams(1.0, 1.0, phi1, 0.4, phi2, delta)
     expected = build_bare(params, phi1) + build_control(params, 0.4, wrap_phase(phi2), delta)
     assert np.max(np.abs(build_total(params, pulse) - expected)) <= 1e-12
+
+
+# --- reference builders: the straightforward per-pair loops ----------------
+#
+# The library assembles both Hamiltonians from cached per-N templates; these
+# loops over DressedIndex pairs are the definition they must reproduce bit
+# for bit.
+
+def _ref_pair_block(H, up, down, nx, ny, nz, scale):
+    H[up, up] += scale * nz
+    H[down, down] -= scale * nz
+    H[up, down] += scale * (nx - 1j * ny)
+    H[down, up] += scale * (nx + 1j * ny)
+
+
+def ref_build_bare(params, phi_1r):
+    H = np.zeros((params.dim, params.dim), dtype=complex)
+    nx, ny, nz = 0.0, -math.sin(phi_1r), math.cos(phi_1r)
+    for q in range(1, params.N + 1):
+        up = DressedIndex.branch(+1, q).position()
+        down = DressedIndex.branch(-1, q).position()
+        _ref_pair_block(H, up, down, nx, ny, nz, params.omega_1r * math.sqrt(q) / 2.0)
+    return H
+
+
+def ref_build_control(params, omega_01, phi_01, delta_01):
+    if omega_01 < 0:
+        raise ValueError(f"omega_01 must be >= 0, got {omega_01}")
+    N, dim = params.N, params.dim
+    H = np.zeros((dim, dim), dtype=complex)
+    nx, ny = math.cos(phi_01), math.sin(phi_01)
+    half = omega_01 / 2.0
+    for s in (+1, -1):
+        for q in range(1, N):
+            up = DressedIndex.branch(s, q + 1).position()
+            _ref_pair_block(H, up, DressedIndex.branch(s, q).position(),
+                            nx, ny, 0.0, half * coupling_K(N, q))
+            _ref_pair_block(H, up, DressedIndex.branch(-s, q).position(),
+                            nx, ny, 0.0, -half * coupling_Q(N, q))
+        _ref_pair_block(H, DressedIndex.branch(s, 1).position(), 0,
+                        nx, ny, 0.0, s * half * math.sqrt(N / 2.0))
+    for s in (+1, -1):
+        for q in range(1, N + 1):
+            p = DressedIndex.branch(s, q).position()
+            H[p, p] -= delta_01 * q
+    return H
+
+
+def ref_control_element(params, omega_01, phi_01, row, col):
+    return ref_build_control(params, omega_01, phi_01, 0.0)[row, col]
+
+
+amplitudes = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+
+
+@given(N=st.integers(min_value=1, max_value=12), phi_1r=phases, phi_01=phases,
+       delta=phases, omega_01=amplitudes,
+       omega_1r=st.floats(min_value=1e-3, max_value=3.0))
+@settings(deadline=None, max_examples=150)
+def test_template_builders_match_reference_bit_for_bit(N, phi_1r, phi_01, delta,
+                                                       omega_01, omega_1r):
+    params = ModelParams(N, omega_1r)
+    for phi in (phi_1r, 0.0, math.pi / 2, math.pi):
+        assert build_bare(params, phi).tobytes() == ref_build_bare(params, phi).tobytes()
+    for phi in (phi_01, 0.0, 0.5, math.pi):
+        for d in (delta, 0.0):
+            got = build_control(params, omega_01, phi, d)
+            assert got.tobytes() == ref_build_control(params, omega_01, phi, d).tobytes()
+    pulse = PulseParams(1.0, omega_1r, phi_1r, omega_01, phi_01, delta)
+    expected = (ref_build_bare(params, pulse.phi_1r)
+                + ref_build_control(params, omega_01, pulse.phi_01, delta))
+    assert build_total(params, pulse).tobytes() == expected.tobytes()
+
+
+@given(N=st.integers(min_value=1, max_value=12), phi_01=phases, omega_01=amplitudes)
+@settings(deadline=None, max_examples=40)
+def test_control_element_matches_reference(N, phi_01, omega_01):
+    params = ModelParams(N)
+    for phi in (phi_01, 0.0, 0.5):
+        H = ref_build_control(params, omega_01, phi, 0.0)
+        for row in range(params.dim):
+            for col in range(params.dim):
+                if row != col:
+                    got = control_element(params, omega_01, phi, row, col)
+                    assert type(got) is type(H[row, col])
+                    assert got.tobytes() == H[row, col].tobytes()
+
+
+def test_templates_cannot_be_poisoned():
+    params = ModelParams(4)
+    for H in (build_bare(params, 0.3), build_control(params, 0.2, 0.4, 0.1)):
+        H[...] = 7.0
+    assert build_bare(params, 0.3).tobytes() == ref_build_bare(params, 0.3).tobytes()
+    assert (build_control(params, 0.2, 0.4, 0.1).tobytes()
+            == ref_build_control(params, 0.2, 0.4, 0.1).tobytes())
+    template = core._template(params.N)
+    for name in ("pair", "pair_t", "coef", "excited", "q", "plus", "minus",
+                 "plus_minus", "minus_plus", "sqrt_q"):
+        with pytest.raises(ValueError):
+            getattr(template, name)[0] = 0
+
+
+_COMPILER_CACHES = (compiler._doublet_senses, compiler._phase_calibration,
+                    compiler._edge_step, compiler._shaped_fold)
+
+
+def _schedules():
+    """JSON text and realized operator bytes of a fixed set of compilations."""
+    for cached in _COMPILER_CACHES:
+        cached.cache_clear()
+    rng = np.random.default_rng(5)
+    amp = np.zeros(11, dtype=complex)
+    amp[1:] = rng.normal(size=10) + 1j * rng.normal(size=10)
+    prep_target = QuditState.from_vector(amp, normalize=True)
+    opts = CompileOptions(omega_01=1e-2)
+    schedules = [
+        compile_unitary(hadamard_target(3), opts),
+        compile_unitary(hadamard_target(3), CompileOptions(omega_01=1e-2, fold_variant="tilde")),
+        compile_state_prep(prep_target, opts),
+        compile_readout(QuditState.uniform(4), opts),
+    ]
+    return [(schedule_to_json(s), schedule_operator(s).tobytes()) for s in schedules]
+
+
+def test_schedules_byte_identical_to_reference_builders(monkeypatch):
+    real = _schedules()
+    with monkeypatch.context() as m:
+        m.setattr(core, "build_bare", ref_build_bare)
+        m.setattr(core, "build_control", ref_build_control)
+        m.setattr(compiler, "build_control", ref_build_control)
+        m.setattr(compiler, "control_element", ref_control_element)
+        reference = _schedules()
+    for cached in _COMPILER_CACHES:
+        cached.cache_clear()
+    assert len(real) == len(reference) == 4
+    for (text, op), (ref_text, ref_op) in zip(real, reference):
+        assert text.encode() == ref_text.encode()
+        assert op == ref_op
