@@ -10,7 +10,7 @@ agreement is asymptotic in the interaction-to-drive ratio V/omega_1r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,8 +109,14 @@ def validate_geometry(g: Geometry, omega_1r: float = 1.0) -> GeometryReport:
     )
 
 
-def _site_levels(i: int, N: int) -> list[int]:
-    return [(i // 3**j) % 3 for j in range(N)]
+def _check_cap(N: int) -> None:
+    if N > FULLSPACE_SITE_CAP:
+        raise ValueError(f"full-space oracle is capped at {FULLSPACE_SITE_CAP} sites, got {N}")
+
+
+def _site_levels(N: int) -> np.ndarray:
+    """3^N x N base-3 digit table: row i holds the site levels of configuration i."""
+    return (np.arange(3**N)[:, None] // 3 ** np.arange(N)) % 3
 
 
 def build_full_hamiltonian(g: Geometry, pulse: PulseParams) -> np.ndarray:
@@ -121,8 +127,7 @@ def build_full_hamiltonian(g: Geometry, pulse: PulseParams) -> np.ndarray:
     doubly-Rydberg configurations.
     """
     N = g.N
-    if N > FULLSPACE_SITE_CAP:
-        raise ValueError(f"full-space oracle is capped at {FULLSPACE_SITE_CAP} sites, got {N}")
+    _check_cap(N)
     dim = 3**N
     H = np.zeros((dim, dim), dtype=complex)
     pos = np.array(g.positions)
@@ -132,20 +137,21 @@ def build_full_hamiltonian(g: Geometry, pulse: PulseParams) -> np.ndarray:
             vjk[j, k] = g.C6 / float(np.sum((pos[j] - pos[k]) ** 2)) ** 3
     c1r = 0.5 * pulse.omega_1r * np.exp(-1j * pulse.phi_1r)
     c01 = 0.5 * pulse.omega_01 * np.exp(-1j * pulse.phi_01)
-    for i in range(dim):
-        levels = _site_levels(i, N)
-        excited = sum(1 for l in levels if l != 0)
-        diag = -pulse.delta_01 * excited
-        ryd = [j for j, l in enumerate(levels) if l == 2]
-        for x in range(len(ryd)):
-            for y in range(x + 1, len(ryd)):
-                diag += vjk[ryd[x], ryd[y]]
-        H[i, i] = diag
-        for j, l in enumerate(levels):
-            if l == 0 and pulse.omega_01 != 0.0:
-                H[i + 3**j, i] += c01            # |1><0| on site j
-            elif l == 1 and pulse.omega_1r != 0.0:
-                H[i + 3**j, i] += c1r            # |r><1| on site j
+    levels = _site_levels(N)
+    diag = -pulse.delta_01 * np.count_nonzero(levels, axis=1)
+    ryd = levels == 2
+    # pair energies are summed in (j, k) order, and only where both sites are
+    # Rydberg, so each diagonal element sees the same additions as a loop
+    for j in range(N):
+        for k in range(j + 1, N):
+            diag[ryd[:, j] & ryd[:, k]] += vjk[j, k]
+    np.fill_diagonal(H, diag)
+    configs = np.arange(dim)
+    for j in range(N):
+        for level, amplitude, coupling in ((0, pulse.omega_01, c01), (1, pulse.omega_1r, c1r)):
+            if amplitude != 0.0:
+                src = configs[levels[:, j] == level]
+                H[src + 3**j, src] += coupling      # |1><0| or |r><1| on site j
     H += np.tril(H, -1).conj().T
     return H
 
@@ -157,36 +163,44 @@ def embed_dressed(N: int, idx: DressedIndex) -> np.ndarray:
     |g,q> (resp. |e,q-1>) the equal-amplitude sum over arrangements of q
     atoms in |1> (resp. q-1 in |1> and one in |r>).
     """
-    if N > FULLSPACE_SITE_CAP:
-        raise ValueError(f"full-space oracle is capped at {FULLSPACE_SITE_CAP} sites, got {N}")
+    _check_cap(N)
+    if idx.q > N:
+        raise ValueError(f"level {idx} needs at least {idx.q} sites, got N={N}")
     dim = 3**N
     vec = np.zeros(dim, dtype=complex)
     if idx.is_ground:
         vec[0] = 1.0
         return vec
     q = idx.q
-    for i in range(dim):
-        levels = _site_levels(i, N)
-        n1 = levels.count(1)
-        nr = levels.count(2)
-        if n1 == q and nr == 0:
-            vec[i] += idx.sign                   # |g,q> component
-        elif n1 == q - 1 and nr == 1:
-            vec[i] += 1.0                        # |e,q-1> component
-    n_g = math.comb(N, q)
-    n_e = N * math.comb(N - 1, q - 1)
-    for i in range(dim):
-        levels = _site_levels(i, N)
-        if levels.count(2) == 0 and vec[i] != 0:
-            vec[i] /= math.sqrt(2 * n_g)
-        elif vec[i] != 0:
-            vec[i] /= math.sqrt(2 * n_e)
+    levels = _site_levels(N)
+    n1 = np.count_nonzero(levels == 1, axis=1)
+    nr = np.count_nonzero(levels == 2, axis=1)
+    ground = (n1 == q) & (nr == 0)               # |g,q> component
+    excited = (n1 == q - 1) & (nr == 1)          # |e,q-1> component
+    vec[ground] = idx.sign / math.sqrt(2 * math.comb(N, q))
+    vec[excited] = 1.0 / math.sqrt(2 * N * math.comb(N - 1, q - 1))
     return vec
 
 
 def dressed_frame(N: int) -> np.ndarray:
     """3^N x (2N+1) matrix of embedded dressed levels in canonical order."""
     return np.column_stack([embed_dressed(N, idx) for idx in level_ordering(N)])
+
+
+def _real_gauge(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.ndarray]:
+    """Real H0 and unit diagonal d with build_full_hamiltonian = diag(d) H0 diag(d)^dag.
+
+    Every |1><0| coupling carries e^{-i phi_01} and every |r><1| coupling
+    e^{-i phi_1r}, and the rest of H is diagonal, so with both phases zero H0
+    is real and d = e^{-i (phi_01 n_exc + phi_1r n_r)} per configuration,
+    n_exc counting the sites not in |0> and n_r those in |r>.  Real symmetric
+    eigh of H0 is several times cheaper than complex Hermitian eigh of H.
+    """
+    H0 = build_full_hamiltonian(g, replace(pulse, phi_1r=0.0, phi_01=0.0)).real.copy()
+    levels = _site_levels(g.N)
+    n_exc = np.count_nonzero(levels, axis=1)
+    n_r = np.count_nonzero(levels == 2, axis=1)
+    return H0, np.exp(-1j * (pulse.phi_01 * n_exc + pulse.phi_1r * n_r))
 
 
 def _require_geometry(g: Geometry, omega_1r: float, allow_invalid: bool) -> None:
@@ -198,18 +212,20 @@ def compare_spectrum(g: Geometry, pulse: PulseParams,
                      allow_invalid_geometry: bool = False) -> float:
     """Max eigenvalue deviation between the microscopic model and the ladder.
 
-    Diagonalizes the full Hamiltonian, matches each ladder eigenstate to the
-    full eigenvector of largest overlap with its embedding, and reports the
-    worst eigenvalue difference.  Finite interaction admixes multi-Rydberg
-    configurations, so the deviation shrinks as V/omega_1r grows.
+    Diagonalizes the full Hamiltonian (as the real H0 of its phase gauge),
+    matches each ladder eigenstate to the full eigenvector of largest overlap
+    with its embedding, and reports the worst eigenvalue difference.  Finite
+    interaction admixes multi-Rydberg configurations, so the deviation
+    shrinks as V/omega_1r grows.
     """
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
     params = ModelParams(g.N, pulse.omega_1r) if pulse.omega_1r > 0 else ModelParams(g.N)
     B = dressed_frame(g.N)
-    w_full, V_full = np.linalg.eigh(build_full_hamiltonian(g, pulse))
+    H0, d = _real_gauge(g, pulse)
+    w_full, V0 = np.linalg.eigh(H0)
     w_ladder, V_ladder = np.linalg.eigh(build_total(params, pulse))
-    # overlap of every full eigenvector with each embedded ladder eigenvector
-    overlaps = np.abs(V_full.conj().T @ (B @ V_ladder)) ** 2
+    # overlap of every full eigenvector d * V0[:, k] with each embedded ladder eigenvector
+    overlaps = np.abs(V0.T @ (d.conj()[:, None] * (B @ V_ladder))) ** 2
     matched = w_full[np.argmax(overlaps, axis=0)]
     return float(np.max(np.abs(matched - w_ladder)))
 
@@ -228,7 +244,8 @@ def compare_evolution(g: Geometry, pulse: PulseParams, T: float,
     params = ModelParams(g.N, pulse.omega_1r) if pulse.omega_1r > 0 else ModelParams(g.N)
     B = dressed_frame(g.N)
     psi0_full = B[:, initial.position()]
-    psi_full = _evolve(build_full_hamiltonian(g, pulse), T, psi0_full)
+    H0, d = _real_gauge(g, pulse)
+    psi_full = d * _evolve(H0, T, d.conj() * psi0_full)
     e0 = np.zeros(params.dim, dtype=complex)
     e0[initial.position()] = 1.0
     psi_dressed = B @ _evolve(build_total(params, pulse), T, e0)

@@ -18,7 +18,7 @@ from rydqudit.cli import (
 )
 from rydqudit.core import DressedIndex, ModelParams, PulseParams, QuditState
 from rydqudit.compiler import CompileOptions, compile_phase_gate
-from rydqudit.propagator import PulseSchedule, extract_gate, run_schedule
+from rydqudit.propagator import PulseSchedule, Trajectory, extract_gate, run_schedule
 
 
 @pytest.fixture
@@ -90,6 +90,37 @@ def test_trajectory_csv_masking():
     # |-,1> amplitude ~1e-4 < 1e-3: its phase column must be zeroed
     assert float(last_masked[4]) == 0.0
     assert float(last_plain[4]) != 0.0
+
+
+def ref_trajectory_to_csv(traj, mask_phases=False):
+    """The cell-by-cell formatter that trajectory_to_csv must reproduce byte for byte."""
+    n_levels = traj.states.shape[1]
+    N = (n_levels - 1) // 2
+    names = ["g0"] + [f"{s}{q}" for q in range(1, N + 1) for s in ("m", "p")]
+    lines = ["time," + ",".join(f"abs_{n},arg_{n}" for n in names)]
+    for t, st in zip(traj.times, traj.states):
+        cells = [repr(float(t))]
+        for a in st:
+            mag = abs(a)
+            ph = 0.0 if (mask_phases and mag < 1e-3) else float(np.angle(a))
+            cells.append(repr(float(mag)))
+            cells.append(repr(ph))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mask_phases", [False, True])
+def test_trajectory_csv_matches_reference_bytes(mask_phases):
+    schedule = sample_schedule()
+    trajectories = [run_schedule(QuditState.uniform(2), schedule, samples_per_pulse=4)]
+    rng = np.random.default_rng(11)
+    for scale in (1.0, 1e-3, 1e-300):
+        states = scale * (rng.normal(size=(500, 7)) + 1j * rng.normal(size=(500, 7)))
+        states[:5] = [0.0, -0.0, 1e-3, -1e-3 + 0j, complex(-0.0, -0.0), 1j, -1.0]
+        trajectories.append(Trajectory(np.sort(rng.uniform(0.0, 1e5, 500)), states))
+    for traj in trajectories:
+        text = trajectory_to_csv(traj, mask_phases)
+        assert text.encode() == ref_trajectory_to_csv(traj, mask_phases).encode()
 
 
 def test_write_atomic_and_env_override(tmp_path, monkeypatch):
