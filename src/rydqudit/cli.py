@@ -135,16 +135,17 @@ def trajectory_to_csv(traj: Trajectory, mask_phases: bool = False) -> str:
     names = ["g0"] + [f"{s}{q}" for q in range(1, N + 1) for s in ("m", "p")]
     header = "time," + ",".join(f"abs_{n},arg_{n}" for n in names)
     states = traj.states
-    # np.hypot, unlike np.abs on an array, gives the bits of the scalar abs()
-    mags = np.hypot(states.real, states.imag)
-    phases = np.angle(states)
-    if mask_phases:
-        phases[mags < 1e-3] = 0.0
     table = np.empty((states.shape[0], 1 + 2 * n_levels))
     table[:, 0] = traj.times
-    table[:, 1::2] = mags
-    table[:, 2::2] = phases
-    lines = [header] + [",".join(map(repr, row)) for row in table.tolist()]
+    mags, phases = table[:, 1::2], table[:, 2::2]
+    # np.hypot, unlike np.abs on an array, gives the bits of the scalar abs();
+    # np.arctan2(imag, real) is np.angle
+    np.hypot(states.real, states.imag, out=mags)
+    np.arctan2(states.imag, states.real, out=phases)
+    if mask_phases:
+        phases[mags < 1e-3] = 0.0
+    # row by row, so only one row's Python floats exist at a time
+    lines = [header] + [",".join(map(repr, row.tolist())) for row in table]
     return "\n".join(lines) + "\n"
 
 
