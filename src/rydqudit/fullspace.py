@@ -23,7 +23,7 @@ from .core import (
     build_total,
     level_ordering,
 )
-from .propagator import _evolve
+from .propagator import _evolve, _propagate
 
 FULLSPACE_SITE_CAP = 8  # 3^8 = 6561 dense levels, the largest desk-scale oracle
 
@@ -53,15 +53,21 @@ class Geometry:
         pos = tuple(tuple(float(c) for c in p) for p in self.positions)
         if not pos or any(len(p) != 3 for p in pos):
             raise ValueError("positions must be a nonempty list of 3-vectors")
+        if not all(math.isfinite(c) for p in pos for c in p):
+            raise ValueError("positions must be finite")
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
                 if pos[i] == pos[j]:
                     raise ValueError(f"positions {i} and {j} coincide")
+        for name in ("a", "wavelength", "C6"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"geometry parameter {name} must be finite")
         if not self.a > 0 or not self.wavelength > 0:
             raise ValueError("spacing and wavelength must be positive")
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"dimensionality must be 1, 2 or 3, got {self.d}")
+        if isinstance(self.d, bool) or self.d not in (1, 2, 3):
+            raise ValueError(f"dimensionality must be 1, 2 or 3, got {self.d!r}")
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "d", int(self.d))
 
     @property
     def N(self) -> int:
@@ -72,9 +78,11 @@ class Geometry:
         try:
             return cls(tuple(tuple(p) for p in doc["positions"]),
                        float(doc["a"]), float(doc["lambda"]),
-                       float(doc["C6"]), int(doc["d"]))
+                       float(doc["C6"]), doc["d"])
         except KeyError as exc:
             raise ValueError(f"geometry document missing key {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed geometry document: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {"positions": [list(p) for p in self.positions], "a": self.a,
@@ -197,10 +205,43 @@ def _real_gauge(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.ndarray
     eigh of H0 is several times cheaper than complex Hermitian eigh of H.
     """
     H0 = build_full_hamiltonian(g, replace(pulse, phi_1r=0.0, phi_01=0.0)).real.copy()
+    return H0, _gauge_diagonal(g, pulse)
+
+
+def _gauge_diagonal(g: Geometry, pulse: PulseParams) -> np.ndarray:
+    """The diagonal d of _real_gauge, from the pulse's two phases."""
     levels = _site_levels(g.N)
     n_exc = np.count_nonzero(levels, axis=1)
     n_r = np.count_nonzero(levels == 2, axis=1)
-    return H0, np.exp(-1j * (pulse.phi_01 * n_exc + pulse.phi_1r * n_r))
+    return np.exp(-1j * (pulse.phi_01 * n_exc + pulse.phi_1r * n_r))
+
+
+# the last (key, (w, V0)) computed by _real_eigensystem, or None
+_eigensystem: Optional[tuple] = None
+
+
+def _real_eigensystem(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues w and eigenvectors V0 of the real H0 of _real_gauge.
+
+    H0 does not depend on the laser phases, T or the label, so the result is
+    kept for the next call with the same geometry, omega_1r, omega_01 and
+    delta_01: `validate` diagonalises once and its spectrum and evolution
+    comparisons share the result.  Only the last eigensystem is kept, and it
+    stays resident until the next miss (about 4 MB at N=6, 38 MB at N=7 and
+    344 MB at N=8); a miss drops it before building the new one, so the two
+    never coexist.
+    """
+    global _eigensystem
+    key = (g, pulse.omega_1r, pulse.omega_01, pulse.delta_01)
+    slot = _eigensystem
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    _eigensystem = slot = None      # the last references to the old arrays
+    w, V0 = np.linalg.eigh(_real_gauge(g, pulse)[0])
+    w.flags.writeable = False
+    V0.flags.writeable = False
+    _eigensystem = (key, (w, V0))
+    return w, V0
 
 
 def _require_geometry(g: Geometry, omega_1r: float, allow_invalid: bool) -> None:
@@ -212,17 +253,18 @@ def compare_spectrum(g: Geometry, pulse: PulseParams,
                      allow_invalid_geometry: bool = False) -> float:
     """Max eigenvalue deviation between the microscopic model and the ladder.
 
-    Diagonalizes the full Hamiltonian (as the real H0 of its phase gauge),
-    matches each ladder eigenstate to the full eigenvector of largest overlap
-    with its embedding, and reports the worst eigenvalue difference.  Finite
+    Diagonalizes the full Hamiltonian (as the real H0 of its phase gauge,
+    sharing the eigensystem with compare_evolution), matches each ladder
+    eigenstate to the full eigenvector of largest overlap with its
+    embedding, and reports the worst eigenvalue difference.  Finite
     interaction admixes multi-Rydberg configurations, so the deviation
     shrinks as V/omega_1r grows.
     """
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
     params = ModelParams(g.N, pulse.omega_1r) if pulse.omega_1r > 0 else ModelParams(g.N)
     B = dressed_frame(g.N)
-    H0, d = _real_gauge(g, pulse)
-    w_full, V0 = np.linalg.eigh(H0)
+    w_full, V0 = _real_eigensystem(g, pulse)
+    d = _gauge_diagonal(g, pulse)
     w_ladder, V_ladder = np.linalg.eigh(build_total(params, pulse))
     # overlap of every full eigenvector d * V0[:, k] with each embedded ladder eigenvector
     overlaps = np.abs(V0.T @ (d.conj()[:, None] * (B @ V_ladder))) ** 2
@@ -244,8 +286,9 @@ def compare_evolution(g: Geometry, pulse: PulseParams, T: float,
     params = ModelParams(g.N, pulse.omega_1r) if pulse.omega_1r > 0 else ModelParams(g.N)
     B = dressed_frame(g.N)
     psi0_full = B[:, initial.position()]
-    H0, d = _real_gauge(g, pulse)
-    psi_full = d * _evolve(H0, T, d.conj() * psi0_full)
+    w_full, V0 = _real_eigensystem(g, pulse)
+    d = _gauge_diagonal(g, pulse)
+    psi_full = d * _propagate(w_full, V0, T, d.conj() * psi0_full)
     e0 = np.zeros(params.dim, dtype=complex)
     e0[initial.position()] = 1.0
     psi_dressed = B @ _evolve(build_total(params, pulse), T, e0)

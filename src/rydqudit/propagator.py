@@ -80,12 +80,19 @@ class GateReport:
 def _evolve(H: np.ndarray, T, X: np.ndarray) -> np.ndarray:
     """exp(-i H t) X by Hermitian eigendecomposition of H, for a vector or a matrix X.
 
-    Computes V @ (exp(-i w t) * (V^dag @ X)), the phases broadcast over the
-    columns of a matrix X.  With a 1-D array of times T and a vector X the
-    result stacks the evolved vectors, one row per time, from a single
-    eigendecomposition.
+    With a 1-D array of times T and a vector X the result stacks the evolved
+    vectors, one row per time, from a single eigendecomposition.
     """
     w, V = np.linalg.eigh(H)
+    return _propagate(w, V, T, X)
+
+
+def _propagate(w: np.ndarray, V: np.ndarray, T, X: np.ndarray) -> np.ndarray:
+    """exp(-i H t) X from the eigensystem (w, V) of H, as _evolve documents.
+
+    Computes V @ (exp(-i w t) * (V^dag @ X)), the phases broadcast over the
+    columns of a matrix X.
+    """
     coef = V.conj().T @ X
     if np.ndim(T) == 0:
         return V @ (np.exp(-1j * w * T).reshape((-1,) + (1,) * (X.ndim - 1)) * coef)

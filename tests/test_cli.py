@@ -283,3 +283,56 @@ def test_validate_blockade_violation_exits_3(runner, tmp_path):
     res = runner.invoke(main, ["validate", str(geom_path), "--allow-invalid",
                                "-o", str(tmp_path / "v.json")])
     assert res.exit_code == 0, res.output
+
+
+TRIANGLE = {"positions": [[0, 0, 0], [1, 0, 0], [0.5, 0.8660254037844386, 0]],
+            "a": 1.0, "lambda": 0.5, "C6": 1e4, "d": 2}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"C6": math.nan}, "C6 must be finite"),
+    ({"positions": [[0, 0, 0], [math.nan, 0, 0], [0.5, 0.8, 0]]}, "positions must be finite"),
+    ({"positions": [[0, 0, 0], [math.inf, 0, 0], [0.5, 0.8, 0]]}, "positions must be finite"),
+    ({"d": 1.5}, "dimensionality"),
+], ids=["nan-C6", "nan-position", "inf-position", "fractional-d"])
+def test_validate_rejects_non_finite_and_non_integer_geometry(runner, tmp_path, change, message):
+    geom_path = tmp_path / "g.json"
+    geom_path.write_text(json.dumps({**TRIANGLE, **change}))
+    for extra in ([], ["--allow-invalid"]):
+        res = runner.invoke(main, ["validate", str(geom_path), "-o", str(tmp_path / "v.json")]
+                            + extra)
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_validate_reuses_the_oracle_eigensystem(runner, tmp_path, monkeypatch):
+    from rydqudit import fullspace
+    monkeypatch.setattr(fullspace, "_eigensystem", None)
+    full_eighs = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        if a.shape[0] == 3**3:
+            full_eighs.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    geom_path = tmp_path / "g.json"
+    geom_path.write_text(json.dumps(TRIANGLE))
+
+    def validate(name, *extra):
+        out = tmp_path / name
+        res = runner.invoke(main, ["validate", str(geom_path), "-o", str(out), *extra])
+        assert res.exit_code == 0, res.output
+        return out.read_bytes()
+
+    first = validate("first.json")
+    assert len(full_eighs) == 1
+    assert validate("second.json") == first
+    assert len(full_eighs) == 1             # served from the slot
+    other = validate("other.json", "--ratio", "3e-2")
+    assert len(full_eighs) == 2
+    fullspace._eigensystem = None
+    assert validate("cleared.json", "--ratio", "3e-2") == other
+    assert len(full_eighs) == 3

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from rydqudit.core import (
     build_total,
     level_ordering,
 )
+from rydqudit import fullspace
 from rydqudit.fullspace import (
     FULLSPACE_SITE_CAP,
     Geometry,
+    _real_eigensystem,
     _real_gauge,
     blockade_radius,
     build_full_hamiltonian,
@@ -305,3 +308,109 @@ def test_real_gauge_oracle_matches_complex_diagonalization(g):
                         DressedIndex.branch(+1, g.N)):
             got = compare_evolution(g, pulse, 10.0, initial)
             assert abs(got - ref_compare_evolution(g, pulse, 10.0, initial)) <= 1e-12
+
+
+GEOMETRY_FIELDS = dict(positions=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), a=1.0,
+                       wavelength=0.5, C6=1e4, d=1)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("positions", ((0.0, 0.0, 0.0), (math.nan, 0.0, 0.0))),
+    ("positions", ((0.0, 0.0, 0.0), (0.0, math.inf, 0.0))),
+    ("a", math.inf), ("wavelength", math.inf), ("C6", math.nan), ("C6", -math.inf),
+    ("d", 1.5), ("d", True), ("d", "2"),
+])
+def test_geometry_rejects_non_finite_and_non_integer_inputs(name, value):
+    with pytest.raises(ValueError):
+        Geometry(**{**GEOMETRY_FIELDS, name: value})
+    doc = Geometry(**GEOMETRY_FIELDS).to_dict()
+    doc["lambda" if name == "wavelength" else name] = value
+    with pytest.raises(ValueError):
+        Geometry.from_dict(doc)
+
+
+def test_geometry_dict_dimension_and_malformed_values():
+    doc = {**Geometry(**GEOMETRY_FIELDS).to_dict(), "d": 1.0}
+    g = Geometry.from_dict(doc)
+    assert g == Geometry(**GEOMETRY_FIELDS) and type(g.d) is int
+    with pytest.raises(ValueError):
+        Geometry.from_dict({**doc, "a": [1.0]})
+
+
+# --- the one-slot eigensystem shared by compare_spectrum and compare_evolution
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Empties the slot, then records (dimension, slot empty) for every eigh."""
+    monkeypatch.setattr(fullspace, "_eigensystem", None)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        calls.append((a.shape[0], fullspace._eigensystem is None))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return calls
+
+
+def full_eighs(calls, N):
+    """Slot-empty flags of the recorded eigh calls on a 3^N matrix."""
+    return [empty for dim, empty in calls if dim == 3**N]
+
+
+def oracle_pair(g, pulse, T=10.0, initial=DressedIndex.branch(-1, 1)):
+    return compare_spectrum(g, pulse), compare_evolution(g, pulse, T, initial)
+
+
+def test_spectrum_and_evolution_share_one_diagonalization(eigh_calls):
+    oracle_pair(chain(4, 1e4), PulseParams(1.0, 1.0, 0.7, 1e-2, -1.1, 0.02))
+    assert full_eighs(eigh_calls, 4) == [True]
+
+
+def test_recomputed_eigensystem_gives_the_same_bits(eigh_calls):
+    g, pulse = chain(4, 1e4), PulseParams(1.0, 1.0, 0.7, 1e-2, -1.1, 0.02)
+    first = oracle_pair(g, pulse)
+    hit = oracle_pair(g, pulse)
+    fullspace._eigensystem = None
+    again = oracle_pair(g, pulse)
+    assert full_eighs(eigh_calls, 4) == [True, True]
+    assert [x.hex() for x in first] == [x.hex() for x in hit] == [x.hex() for x in again]
+
+
+def test_phase_and_time_changes_reuse_the_eigensystem(eigh_calls):
+    g = triangle(1e4)
+    initials = (DressedIndex.ground(), DressedIndex.branch(+1, g.N))
+    cases = [(PulseParams(1.0, 1.0, 0.7, 1e-2, -2.1, 0.2), 10.0),
+             (PulseParams(7.0, 1.0, -2.9, 1e-2, 1.3, 0.2, "x"), 3.5)]
+    refs = [(ref_compare_spectrum(g, pulse),
+             [ref_compare_evolution(g, pulse, T, initial) for initial in initials])
+            for pulse, T in cases]
+    eigh_calls.clear()
+    oracle_pair(g, PulseParams(1.0, 1.0, 0.0, 1e-2, 0.0, 0.2))
+    for (pulse, T), (spectrum, overlaps) in zip(cases, refs):
+        assert abs(compare_spectrum(g, pulse) - spectrum) <= 1e-10
+        for initial, overlap in zip(initials, overlaps):
+            assert abs(compare_evolution(g, pulse, T, initial) - overlap) <= 1e-12
+    assert full_eighs(eigh_calls, g.N) == [True]
+
+
+def test_geometry_and_hamiltonian_changes_miss(eigh_calls):
+    # each case changes one key element of the one before; each pair is one miss
+    pulse = PulseParams(1.0, 1.0, 0.0, 1e-2, 0.0, 0.2)
+    cases = [(triangle(1e4), pulse)]
+    for change in (dict(omega_1r=0.8), dict(omega_01=2e-2), dict(delta_01=-0.2)):
+        pulse = replace(pulse, **change)
+        cases.append((triangle(1e4), pulse))
+    cases.append((triangle(1e3), pulse))
+    for g, pulse in cases:
+        oracle_pair(g, pulse)
+    assert full_eighs(eigh_calls, 3) == [True] * len(cases)
+
+
+def test_eigensystem_arrays_are_read_only(eigh_calls):
+    w, V0 = _real_eigensystem(chain(3, 1e4), PulseParams(1.0, 1.0, 0.0, 1e-2))
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        V0[0, 0] = 0.0
