@@ -47,7 +47,6 @@ from .compiler import (
 from .metrics import (
     DecayParams,
     ScanResult,
-    _scan_point,
     decay_estimate,
     decay_survival,
     feasibility_frontier,
@@ -345,22 +344,15 @@ def cmd_scan(kind: str, n_list: tuple[int, ...], ratio_list: tuple[float, ...],
              omega1r_hz: Optional[float], jobs: int, output: str,
              frontier_out: Optional[str]) -> None:
     """Compile + simulate a (N, ratio) grid and export it as CSV."""
-    if not n_list or not ratio_list:
-        raise ValueError("scan requires at least one N and one ratio")
     decay = _decay_from_flags(gamma_r, gamma_r_hz, omega1r_hz)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from .metrics import ScanRow
+        # one scan per grid point, concatenated in scan's own N-major order
         grid = [(N, r) for N in n_list for r in ratio_list]
+        point = functools.partial(scan, kind, decay=decay, seed=seed)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_scan_point, [kind] * len(grid),
-                                   [N for N, _ in grid], [r for _, r in grid],
-                                   [seed] * len(grid)))
-        rows = tuple(
-            ScanRow(N, float(r), kind, eps, sched.total_duration, len(sched),
-                    1.0 - decay_estimate(sched.total_duration, decay))
-            for (N, r), (eps, sched) in zip(grid, points))
-        result = ScanResult(rows)
+            parts = list(pool.map(point, [[N] for N, _ in grid], [[r] for _, r in grid]))
+        result = ScanResult(tuple(row for part in parts for row in part.rows))
     else:
         result = scan(kind, list(n_list), list(ratio_list), decay, seed)
     write_atomic(output, result.to_csv_text())

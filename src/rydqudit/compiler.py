@@ -53,7 +53,7 @@ from .core import (
     require_unitary,
     wrap_phase,
 )
-from .propagator import PulseSchedule, _evolve, schedule_operator
+from .propagator import PulseSchedule, _evolve, _propagate, schedule_operator
 
 _SIGNS = {"+": 1, "-": -1}
 
@@ -66,6 +66,8 @@ _PHASE_LABELS = {"phase:a", "phase:b"}
 # skip thresholds: residual population left by a skipped pulse is < 1e-12
 _WEIGHT_EPS = 1e-12
 _POLE_EPS = 1e-12
+# compile_unitary's skip_zero_phases omits eigenphases below this
+_ZERO_PHASE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,15 +91,12 @@ class CompileOptions:
     omega_01: float = 1e-3          # in units of omega_1r
     fold_variant: str = "plain"     # "plain" or "tilde" (phase-cancelling halves)
     skip_zero_phases: bool = False
-    zero_phase_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if not self.omega_01 > 0:
             raise ValueError(f"omega_01 must be positive, got {self.omega_01}")
         if self.fold_variant not in ("plain", "tilde"):
             raise ValueError(f"unknown fold variant {self.fold_variant!r}")
-        if not self.zero_phase_tolerance > 0:
-            raise ValueError("zero_phase_tolerance must be positive")
 
 
 def _sgn(s: int) -> str:
@@ -391,8 +390,7 @@ def _invert_pulse(p: PulseParams) -> PulseParams:
     raise ValueError(f"cannot invert pulse with label {label!r}")
 
 
-def invert_full_control(schedule: PulseSchedule,
-                        opts: Optional[CompileOptions] = None) -> PulseSchedule:
+def invert_full_control(schedule: PulseSchedule) -> PulseSchedule:
     """Exact inverse of a full-control schedule in the effective model.
 
     Reverses the pulse order; fold and ground-rotation pulses get phi_01 + pi
@@ -400,9 +398,19 @@ def invert_full_control(schedule: PulseSchedule,
     phase-cancelling halves); bare doublet pulses get phi_1r + pi.  The map
     is an involution.
     """
-    del opts  # inversion is variant-agnostic; labels carry the information
     return PulseSchedule(schedule.params,
                          tuple(_invert_pulse(p) for p in reversed(schedule.pulses)))
+
+
+def _phase_pulses(x: float, omega_01: float, params: ModelParams) -> PulseSchedule:
+    """The two-pulse block of compile_phase_on_minus1, first control phase x."""
+    T = math.sqrt(2) * math.pi / (math.sqrt(params.N) * omega_01)
+    return PulseSchedule(params, (
+        PulseParams(T, params.omega_1r, 0.0, omega_01, x,
+                    -params.omega_1r / 2, label="phase:a"),
+        PulseParams(T, params.omega_1r, math.pi, omega_01, 0.0,
+                    params.omega_1r / 2, label="phase:b"),
+    ))
 
 
 @cache
@@ -413,18 +421,11 @@ def _phase_calibration() -> tuple[int, float]:
     effective model; the result depends only on the fixed conventions, not
     on N or the amplitudes.
     """
-    params = ModelParams(2)
     minus1 = DressedIndex.branch(-1, 1)
-    omega_01 = 0.05
-    T = math.sqrt(2) * math.pi / (math.sqrt(params.N) * omega_01)
 
     def realized(x: float) -> float:
-        pulses = (
-            PulseParams(T, 1.0, 0.0, omega_01, x, -0.5, label="phase:a"),
-            PulseParams(T, 1.0, math.pi, omega_01, 0.0, 0.5, label="phase:b"),
-        )
         out = replay_effective(QuditState.basis_state(2, minus1),
-                               PulseSchedule(params, pulses))
+                               _phase_pulses(x, 0.05, ModelParams(2)))
         amp = out.amplitudes[minus1.position()]
         if abs(abs(amp) - 1.0) > 1e-9:
             raise ContractViolation("phase-pulse calibration left the state")
@@ -454,14 +455,7 @@ def compile_phase_on_minus1(Phi: float, opts: CompileOptions,
     """
     sense, offset = _phase_calibration()
     x = wrap_phase(sense * (Phi - offset))
-    omega_01 = opts.omega_01 * params.omega_1r
-    T = math.sqrt(2) * math.pi / (math.sqrt(params.N) * omega_01)
-    return PulseSchedule(params, (
-        PulseParams(T, params.omega_1r, 0.0, omega_01, x,
-                    -params.omega_1r / 2, label="phase:a"),
-        PulseParams(T, params.omega_1r, math.pi, omega_01, 0.0,
-                    params.omega_1r / 2, label="phase:b"),
-    ))
+    return _phase_pulses(x, opts.omega_01 * params.omega_1r, params)
 
 
 def compile_phase_gate(target: QuditState, Phi: float, opts: CompileOptions,
@@ -518,7 +512,7 @@ def compile_unitary(U: np.ndarray, opts: CompileOptions,
     phases, vectors = unitary_eigensystem(U)
     schedule = PulseSchedule(params)
     for alpha, v in zip(phases, vectors.T):
-        if opts.skip_zero_phases and abs(wrap_phase(alpha)) < opts.zero_phase_tolerance:
+        if opts.skip_zero_phases and abs(wrap_phase(alpha)) < _ZERO_PHASE_EPS:
             continue
         amp = np.zeros(2 * N + 1, dtype=complex)
         amp[1:] = v
@@ -610,9 +604,7 @@ class _FoldPropagator:
         """Apply the whole fold, with a flat top of duration T, to X."""
         shape = (-1,) + (1,) * (X.ndim - 1)
         z = np.exp(-1j * phi_01 * self.levels).reshape(shape)
-        Y = self.V.conj().T @ (self.rise @ (z.conj() * X))
-        Y = self.V @ (np.exp(-1j * self.w * T).reshape(shape) * Y)
-        return z * (self.fall @ Y)
+        return z * (self.fall @ _propagate(self.w, self.V, T, self.rise @ (z.conj() * X)))
 
 
 @dataclass(frozen=True, eq=False)

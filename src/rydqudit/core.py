@@ -136,10 +136,6 @@ class PulseParams:
         object.__setattr__(self, "phi_1r", wrap_phase(self.phi_1r))
         object.__setattr__(self, "phi_01", wrap_phase(self.phi_01))
 
-    def relabeled(self, label: str) -> "PulseParams":
-        return PulseParams(self.T, self.omega_1r, self.phi_1r,
-                           self.omega_01, self.phi_01, self.delta_01, label)
-
 
 @dataclass(frozen=True)
 class QuditState:

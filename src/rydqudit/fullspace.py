@@ -55,13 +55,19 @@ class Geometry:
             raise ValueError("positions must be a nonempty list of 3-vectors")
         if not all(math.isfinite(c) for p in pos for c in p):
             raise ValueError("positions must be finite")
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                if pos[i] == pos[j]:
-                    raise ValueError(f"positions {i} and {j} coincide")
         for name in ("a", "wavelength", "C6"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"geometry parameter {name} must be finite")
+        sites = np.array(pos)
+        for i in range(len(pos)):
+            for j in range(i + 1, len(pos)):
+                # r^6 and C6/r^6 with the arithmetic of build_full_hamiltonian
+                try:
+                    r6 = float(np.sum((sites[i] - sites[j]) ** 2)) ** 3
+                except OverflowError:
+                    raise ValueError(f"sites {i} and {j} are too far apart: r^6 overflows") from None
+                if r6 == 0.0 or not math.isfinite(self.C6 / r6):
+                    raise ValueError(f"sites {i} and {j} are too close: C6/r^6 is not finite")
         if not self.a > 0 or not self.wavelength > 0:
             raise ValueError("spacing and wavelength must be positive")
         if isinstance(self.d, bool) or self.d not in (1, 2, 3):
@@ -261,7 +267,7 @@ def compare_spectrum(g: Geometry, pulse: PulseParams,
     shrinks as V/omega_1r grows.
     """
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
-    params = ModelParams(g.N, pulse.omega_1r) if pulse.omega_1r > 0 else ModelParams(g.N)
+    params = ModelParams(g.N)
     B = dressed_frame(g.N)
     w_full, V0 = _real_eigensystem(g, pulse)
     d = _gauge_diagonal(g, pulse)
@@ -283,7 +289,7 @@ def compare_evolution(g: Geometry, pulse: PulseParams, T: float,
     if T < 0:
         raise ValueError(f"evolution time must be >= 0, got {T}")
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
-    params = ModelParams(g.N, pulse.omega_1r) if pulse.omega_1r > 0 else ModelParams(g.N)
+    params = ModelParams(g.N)
     B = dressed_frame(g.N)
     psi0_full = B[:, initial.position()]
     w_full, V0 = _real_eigensystem(g, pulse)

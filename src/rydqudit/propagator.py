@@ -55,9 +55,6 @@ class Trajectory:
     states: np.ndarray          # shape (n_samples, 2N+1)
     boundary_indices: list[int] = field(default_factory=list)
 
-    def state_at(self, i: int) -> QuditState:
-        return QuditState(self.states[i])
-
     @property
     def final_state(self) -> QuditState:
         return QuditState(self.states[-1])
@@ -73,8 +70,6 @@ class GateReport:
     total_duration: float
     pulse_count: int
     infidelity: Optional[float] = None
-    survival: Optional[float] = None
-    decay_probability: Optional[float] = None
 
 
 def _evolve(H: np.ndarray, T, X: np.ndarray) -> np.ndarray:

@@ -238,7 +238,7 @@ def test_exit_code_numeric_failure(runner, tmp_path):
 
 
 def test_scan_command_and_jobs_determinism(runner, tmp_path):
-    base = ["scan", "--kind", "phase", "-N", "2", "--ratio", "1e-2",
+    base = ["scan", "--kind", "phase", "-N", "2", "-N", "3", "--ratio", "1e-2",
             "--ratio", "2e-2", "--gamma-r", "1e-6"]
     seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
     res = runner.invoke(main, base + ["-o", str(seq)])
@@ -298,6 +298,24 @@ TRIANGLE = {"positions": [[0, 0, 0], [1, 0, 0], [0.5, 0.8660254037844386, 0]],
 def test_validate_rejects_non_finite_and_non_integer_geometry(runner, tmp_path, change, message):
     geom_path = tmp_path / "g.json"
     geom_path.write_text(json.dumps({**TRIANGLE, **change}))
+    for extra in ([], ["--allow-invalid"]):
+        res = runner.invoke(main, ["validate", str(geom_path), "-o", str(tmp_path / "v.json")]
+                            + extra)
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+    assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("separation,message", [
+    (1e-60, "sites 0 and 1 are too close"),       # r^6 underflows to 0
+    (1e-52, "sites 0 and 1 are too close"),       # C6/r^6 overflows
+    (1e100, "sites 0 and 1 are too far apart"),   # r^6 overflows
+], ids=["r6-zero", "interaction-inf", "r6-overflow"])
+def test_validate_rejects_unrepresentable_site_distances(runner, tmp_path, separation, message):
+    geom = {"positions": [[0, 0, 0], [separation, 0, 0]], "a": 1.0, "lambda": 0.5,
+            "C6": 1e4, "d": 1}
+    geom_path = tmp_path / "g.json"
+    geom_path.write_text(json.dumps(geom))
     for extra in ([], ["--allow-invalid"]):
         res = runner.invoke(main, ["validate", str(geom_path), "-o", str(tmp_path / "v.json")]
                             + extra)

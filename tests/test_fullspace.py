@@ -329,6 +329,24 @@ def test_geometry_rejects_non_finite_and_non_integer_inputs(name, value):
         Geometry.from_dict(doc)
 
 
+@pytest.mark.parametrize("separation,message", [
+    (0.0, "too close"), (1e-60, "too close"), (1e-52, "too close"),
+    (1e100, "too far apart"),
+])
+def test_geometry_rejects_unrepresentable_site_distances(separation, message):
+    positions = ((0.0, 0.0, 0.0), (0.0, separation, 0.0), (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=f"sites 0 and 1 are {message}"):
+        Geometry(**{**GEOMETRY_FIELDS, "positions": positions})
+    doc = {**Geometry(**GEOMETRY_FIELDS).to_dict(), "positions": positions}
+    with pytest.raises(ValueError, match=f"sites 0 and 1 are {message}"):
+        Geometry.from_dict(doc)
+
+
+def test_geometry_accepts_close_sites_with_a_finite_interaction():
+    g = Geometry(**{**GEOMETRY_FIELDS, "positions": ((0.0, 0.0, 0.0), (1e-40, 0.0, 0.0))})
+    assert np.all(np.isfinite(build_full_hamiltonian(g, PulseParams(1.0))))
+
+
 def test_geometry_dict_dimension_and_malformed_values():
     doc = {**Geometry(**GEOMETRY_FIELDS).to_dict(), "d": 1.0}
     g = Geometry.from_dict(doc)
