@@ -49,11 +49,17 @@ from .core import (
     build_control,
     build_total,
     control_element,
-    level_ordering,
     require_unitary,
     wrap_phase,
 )
-from .propagator import PulseSchedule, _evolve, _propagate, schedule_operator
+from .propagator import (
+    PulseSchedule,
+    _evolve,
+    _excitations,
+    _gauge,
+    _propagate,
+    schedule_operator,
+)
 
 _SIGNS = {"+": 1, "-": -1}
 
@@ -598,12 +604,11 @@ class _FoldPropagator:
     fall: np.ndarray
     w: np.ndarray
     V: np.ndarray
-    levels: np.ndarray      # q of every level
+    N: int
 
     def __call__(self, phi_01: float, T: float, X: np.ndarray) -> np.ndarray:
         """Apply the whole fold, with a flat top of duration T, to X."""
-        shape = (-1,) + (1,) * (X.ndim - 1)
-        z = np.exp(-1j * phi_01 * self.levels).reshape(shape)
+        z = _gauge(self.N, phi_01, X.ndim)
         return z * (self.fall @ _propagate(self.w, self.V, T, self.rise @ (z.conj() * X)))
 
 
@@ -640,7 +645,7 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
     pair = (target.position(), other.position())
     step = _edge_step(params.N, s, q) / params.omega_1r
     label = f"fold({_sgn(s)},q={q}){_SHAPED}"
-    levels = np.array([lvl.q for lvl in level_ordering(params.N)], dtype=float)
+    levels = _excitations(params.N)
     bare = build_total(params, PulseParams(step, params.omega_1r))
     control = build_control(params, omega_01, 0.0, 0.0)
 
@@ -665,7 +670,7 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
         steps = [_propagator(model(H), step) for _, H in edge]
         w, V = np.linalg.eigh(model(H_flat))
         return _FoldPropagator(reduce(lambda acc, u: u @ acc, steps),
-                               reduce(lambda acc, u: u @ acc, steps[::-1]), w, V, levels)
+                               reduce(lambda acc, u: u @ acc, steps[::-1]), w, V, params.N)
 
     h1 = complex(control_element(params, omega_01, 0.5, *pair))
     return _ShapedFold(target, other, complex(control[pair]), h1,

@@ -97,12 +97,17 @@ class Geometry:
 
 @dataclass(frozen=True)
 class GeometryReport:
-    """Verdicts and margins for the collision and blockade conditions."""
+    """Verdicts and margins for the collision and blockade conditions.
 
-    collision_ok: bool          # a > lambda (light-assisted collisions negligible)
-    collision_margin: float     # a - lambda
-    blockade_ok: bool           # N^(1/d) * a < R_b, strict
-    blockade_margin: float      # R_b - N^(1/d) * a
+    Both conditions are taken over the pairs of actual site positions.  A
+    single site has no pair: it passes both, with no collision margin
+    (None) and a blockade margin of R_b.
+    """
+
+    collision_ok: bool          # closest pair * a > lambda (light-assisted collisions negligible)
+    collision_margin: Optional[float]   # closest pair distance * a - lambda
+    blockade_ok: bool           # farthest pair < R_b, strict, both in units of a
+    blockade_margin: float      # R_b - farthest pair distance
     blockade_radius: float
 
     @property
@@ -111,14 +116,23 @@ class GeometryReport:
 
 
 def validate_geometry(g: Geometry, omega_1r: float = 1.0) -> GeometryReport:
-    """Check that the array fits inside a blockaded, collision-free volume."""
+    """Check that the array fits inside a blockaded, collision-free volume.
+
+    Positions are in units of a and C6 in omega_1r * a^6 units, so R_b is in
+    units of a: the farthest pair of sites must lie strictly inside R_b, and
+    the closest pair, scaled by a, strictly beyond the wavelength.
+    """
     rb = blockade_radius(g.C6, omega_1r)
-    extent = g.N ** (1.0 / g.d) * g.a
+    pos = np.array(g.positions)
+    i, j = np.triu_indices(g.N, 1)
+    dist = np.sqrt(np.sum((pos[i] - pos[j]) ** 2, axis=1))
+    margin = float(dist.min()) * g.a - g.wavelength if dist.size else None
+    farthest = float(dist.max()) if dist.size else 0.0
     return GeometryReport(
-        collision_ok=g.a > g.wavelength,
-        collision_margin=g.a - g.wavelength,
-        blockade_ok=extent < rb,
-        blockade_margin=rb - extent,
+        collision_ok=margin is None or margin > 0,
+        collision_margin=margin,
+        blockade_ok=farthest < rb,
+        blockade_margin=rb - farthest,
         blockade_radius=rb,
     )
 

@@ -3,12 +3,19 @@
 Each pulse has a constant Hamiltonian, so propagation is done by Hermitian
 eigendecomposition (exact up to floating point) rather than time stepping;
 schedule durations reach ~1e6 time units where steppers would drift.
+
+On the ladder the control phase phi_01 is a gauge: build_control puts
+exp(-i phi_01) on every q+1 <- q element, so H(phi_01) = Z H(0) Z^dag with
+Z = diag(exp(-i phi_01 q)).  A schedule is therefore propagated with one
+eigendecomposition per distinct (omega_1r, phi_1r, omega_01, delta_01),
+kept for that call only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -19,6 +26,7 @@ from .core import (
     PulseParams,
     QuditState,
     build_total,
+    level_ordering,
 )
 
 DEFAULT_SAMPLES_PER_PULSE = 64
@@ -94,6 +102,46 @@ def _propagate(w: np.ndarray, V: np.ndarray, T, X: np.ndarray) -> np.ndarray:
     return np.array([V @ (np.exp(-1j * w * t) * coef) for t in T])
 
 
+@lru_cache(maxsize=None)
+def _excitations(N: int) -> np.ndarray:
+    """Excitation number q of every level in the canonical ordering (read-only)."""
+    q = np.array([lvl.q for lvl in level_ordering(N)], dtype=float)
+    q.flags.writeable = False
+    return q
+
+
+def _gauge(N: int, phi_01: float, ndim: int = 1) -> np.ndarray:
+    """Diagonal of Z = diag(exp(-i phi_01 q)), with H(phi_01) = Z H(0) Z^dag.
+
+    Shaped to scale the rows of an ndim-dimensional array (a column for a
+    matrix), and, for ndim = 1, the components of every stacked state.
+    """
+    return np.exp(-1j * phi_01 * _excitations(N)).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _schedule_evolver(params: ModelParams):
+    """exp(-i H t) X for a pulse, one eigendecomposition per distinct key.
+
+    Returns evolve(pulse, T, X) with _evolve's conventions for T and X.  The
+    first pulse of each key (omega_1r, phi_1r, omega_01, delta_01) is
+    diagonalised as it stands, so its result equals _evolve's; a later
+    pulse of that key at another phi_01 reuses the eigensystem through the
+    gauge Z of the phase difference.  The table lives as long as the
+    returned function.
+    """
+    table: dict[tuple[float, float, float, float], tuple[float, np.ndarray, np.ndarray]] = {}
+
+    def evolve(pulse: PulseParams, T, X: np.ndarray) -> np.ndarray:
+        key = (pulse.omega_1r, pulse.phi_1r, pulse.omega_01, pulse.delta_01)
+        if key not in table:
+            table[key] = (pulse.phi_01, *np.linalg.eigh(build_total(params, pulse)))
+        phi_01, w, V = table[key]
+        z = _gauge(params.N, pulse.phi_01 - phi_01, X.ndim)
+        return z * _propagate(w, V, T, z.conj() * X)
+
+    return evolve
+
+
 def evolve_pulse(state: QuditState, pulse: PulseParams, params: ModelParams) -> QuditState:
     """Apply exp(-i H T) for the pulse's constant Hamiltonian to the state."""
     psi = state.amplitudes
@@ -111,13 +159,15 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
     """Piecewise-exact evolution with intra-pulse samples.
 
     Every pulse boundary is a sample point; intermediate samples reuse the
-    pulse's eigendecomposition.  The final state agrees with a sequential
-    evolve_pulse composition to machine precision.
+    pulse's eigendecomposition, which pulses differing only in phi_01 share.
+    The final state agrees with a sequential evolve_pulse composition to
+    machine precision.
     """
     if samples_per_pulse < 1:
         raise ValueError("samples_per_pulse must be >= 1")
     if initial.N != schedule.params.N:
         raise ValueError("initial state dimension does not match the schedule")
+    evolve = _schedule_evolver(schedule.params)
     psi = initial.amplitudes.copy()
     times = [0.0]
     states = [psi.copy()]
@@ -131,7 +181,7 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
             continue
         rel = np.linspace(0.0, pulse.T, samples_per_pulse + 1)[1:]
         times.extend(t0 + rel)
-        states.extend(_evolve(build_total(schedule.params, pulse), rel, psi))
+        states.extend(evolve(pulse, rel, psi))
         boundaries.append(len(times) - 1)
         psi = states[-1].copy()
         t0 += pulse.T
@@ -139,13 +189,17 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
 
 
 def schedule_operator(schedule: PulseSchedule) -> np.ndarray:
-    """Realized (2N+1)-dimensional evolution operator of a schedule."""
-    dim = schedule.params.dim
-    U = np.eye(dim, dtype=complex)
+    """Realized (2N+1)-dimensional evolution operator of a schedule.
+
+    One eigendecomposition per distinct (omega_1r, phi_1r, omega_01, delta_01)
+    among the schedule's pulses; phi_01 enters through the gauge Z.
+    """
+    evolve = _schedule_evolver(schedule.params)
+    U = np.eye(schedule.params.dim, dtype=complex)
     for pulse in schedule.pulses:
         if pulse.T == 0.0:
             continue
-        U = _evolve(build_total(schedule.params, pulse), pulse.T, U)
+        U = evolve(pulse, pulse.T, U)
     return U
 
 

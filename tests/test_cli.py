@@ -273,7 +273,8 @@ def test_validate_command(runner, tmp_path):
 
 
 def test_validate_blockade_violation_exits_3(runner, tmp_path):
-    geom = {"positions": [[0, 0, 0], [1, 0, 0]], "a": 1.0, "lambda": 0.5,
+    # R_b = 2^(1/6) ~ 1.12 < 2, the distance of the two sites
+    geom = {"positions": [[0, 0, 0], [2, 0, 0]], "a": 1.0, "lambda": 0.5,
             "C6": 2.0, "d": 1}
     geom_path = tmp_path / "g.json"
     geom_path.write_text(json.dumps(geom))
@@ -283,6 +284,41 @@ def test_validate_blockade_violation_exits_3(runner, tmp_path):
     res = runner.invoke(main, ["validate", str(geom_path), "--allow-invalid",
                                "-o", str(tmp_path / "v.json")])
     assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("positions,failed", [
+    ([[0, 0, 0], [100, 0, 0]], "blockade_ok"),      # R_b = 1e4^(1/6) ~ 4.6
+    ([[0, 0, 0], [0.3, 0, 0]], "collision_ok"),     # closer than lambda = 0.5
+], ids=["beyond-blockade-radius", "closer-than-wavelength"])
+def test_validate_judges_the_site_positions(runner, tmp_path, positions, failed):
+    geom_path = tmp_path / "g.json"
+    geom_path.write_text(json.dumps({"positions": positions, "a": 1.0, "lambda": 0.5,
+                                     "C6": 1e4, "d": 1}))
+    out = tmp_path / "v.json"
+    res = runner.invoke(main, ["validate", str(geom_path), "-o", str(out)])
+    assert res.exit_code == 3, res.output
+    res = runner.invoke(main, ["validate", str(geom_path), "--allow-invalid", "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "geometry INVALID" in res.output
+    doc = json.loads(out.read_text())
+    assert not doc[failed]
+    assert doc[failed.replace("ok", "margin")] < 0
+
+
+def test_validate_single_site_reports_no_collision_margin(runner, tmp_path):
+    geom_path = tmp_path / "g.json"
+    geom_path.write_text(json.dumps({"positions": [[0, 0, 0]], "a": 1.0, "lambda": 0.5,
+                                     "C6": 1e4, "d": 1}))
+    out = tmp_path / "v.json"
+    res = runner.invoke(main, ["validate", str(geom_path), "-o", str(out)])
+    assert res.exit_code == 0, res.output
+
+    def reject(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["collision_ok"] and doc["collision_margin"] is None
+    assert doc["blockade_ok"] and doc["blockade_margin"] == doc["blockade_radius"]
 
 
 TRIANGLE = {"positions": [[0, 0, 0], [1, 0, 0], [0.5, 0.8660254037844386, 0]],

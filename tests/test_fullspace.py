@@ -79,6 +79,38 @@ def test_geometry_report_verdicts():
     assert not rep3.blockade_ok and not rep3.ok
 
 
+def test_geometry_report_uses_the_site_positions():
+    # margins come from the closest and the farthest pair of actual sites
+    g = Geometry(((0.0, 0.0, 0.0), (0.6, 0.0, 0.0), (0.6, 2.4, 3.2)), 2.0, 1.0, 1e4, 3)
+    rep = validate_geometry(g)
+    assert rep.collision_margin == pytest.approx(0.6 * 2.0 - 1.0)
+    assert rep.blockade_margin == pytest.approx(rep.blockade_radius - math.sqrt(0.36 + 16.0))
+    assert rep.ok
+    # the nominal extent N^(1/d) * a = 2 would call both of these valid
+    far = Geometry(((0.0, 0.0, 0.0), (100.0, 0.0, 0.0)), 1.0, 0.5, 1e4, 1)
+    assert validate_geometry(far).collision_ok and not validate_geometry(far).blockade_ok
+    near = Geometry(((0.0, 0.0, 0.0), (0.3, 0.0, 0.0)), 1.0, 0.5, 1e4, 1)
+    assert validate_geometry(near).blockade_ok and not validate_geometry(near).collision_ok
+    # one site has no pair
+    single = validate_geometry(Geometry(((0.0, 0.0, 0.0),), 1.0, 0.5, 1e4, 1))
+    assert single.ok and single.collision_margin is None
+    assert single.blockade_margin == single.blockade_radius
+
+
+@pytest.mark.parametrize("C6", [1e2, 1e3, 1e4])
+def test_criterion_6_triangle_is_a_valid_geometry(C6):
+    assert validate_geometry(triangle(C6)).ok
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_jittered_3x2_arrays_are_valid_geometries(seed):
+    # 3 x 2 lattices with +/-0.1 site offsets, as in the oracle benchmark
+    rng = np.random.default_rng(seed)
+    sites = tuple((x + rng.uniform(-0.1, 0.1), y + rng.uniform(-0.1, 0.1), 0.0)
+                  for y in range(2) for x in range(3))
+    assert validate_geometry(Geometry(sites, 1.0, 0.5, 1e4, 2)).ok
+
+
 @given(phi1=st.floats(-3.0, 3.0), phi2=st.floats(-3.0, 3.0), delta=st.floats(-1.0, 1.0))
 @settings(deadline=None, max_examples=15)
 def test_full_hamiltonian_hermitian(phi1, phi2, delta):

@@ -1,6 +1,8 @@
 """Piecewise-exact propagation against an adaptive integrator oracle."""
 
 import math
+from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from rydqudit.compiler import CompileOptions, compile_unitary
 from rydqudit.core import (
     ContractViolation,
     DressedIndex,
@@ -15,9 +18,12 @@ from rydqudit.core import (
     PulseParams,
     QuditState,
     build_total,
+    hadamard_target,
 )
 from rydqudit.propagator import (
     PulseSchedule,
+    _evolve,
+    _gauge,
     evolve_pulse,
     extract_gate,
     interaction_frame,
@@ -195,3 +201,98 @@ def test_interaction_frame_requires_matching_schedule():
 def test_schedule_concat_rejects_mismatched_n():
     with pytest.raises(ValueError):
         PulseSchedule(ModelParams(2)).concat(PulseSchedule(ModelParams(3)))
+
+
+# --- one eigendecomposition per distinct pulse Hamiltonian -----------------
+
+
+@cache
+def hadamard_schedule(N):
+    return compile_unitary(hadamard_target(N), CompileOptions(omega_01=1e-2))
+
+
+def distinct_keys(schedule):
+    return {(p.omega_1r, p.phi_1r, p.omega_01, p.delta_01)
+            for p in schedule.pulses if p.T != 0.0}
+
+
+def reference_operator(schedule):
+    # one eigh per pulse, of that pulse's own Hamiltonian
+    U = np.eye(schedule.params.dim, dtype=complex)
+    for p in schedule.pulses:
+        if p.T != 0.0:
+            U = _evolve(build_total(schedule.params, p), p.T, U)
+    return U
+
+
+def count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_schedule_operator_makes_one_eigh_per_distinct_key(monkeypatch):
+    schedule = hadamard_schedule(3)
+    keys = distinct_keys(schedule)
+    assert (len(schedule), len(keys)) == (80, 14)
+    calls = count_eigh(monkeypatch)
+    schedule_operator(schedule)
+    assert len(calls) == len(keys)
+    # the table lives for one call: a second call diagonalises again
+    schedule_operator(schedule)
+    assert len(calls) == 2 * len(keys)
+    del calls[:]
+    run_schedule(QuditState.uniform(3), schedule, samples_per_pulse=2)
+    assert len(calls) == len(keys)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_schedule_operator_matches_per_pulse_eigh(N):
+    schedule = hadamard_schedule(N)
+    assert len(distinct_keys(schedule)) < len(schedule)
+    U = schedule_operator(schedule)
+    assert np.max(np.abs(U - reference_operator(schedule))) <= 1e-9
+
+
+def test_repeated_key_at_other_phases_matches_per_pulse_eigh():
+    rng = np.random.default_rng(17)
+    base = random_pulse(rng)
+    pulses = [replace(base, phi_01=float(phi), T=float(rng.uniform(0.1, 8.0)))
+              for phi in (0.3, -2.0, 0.3, math.pi, 0.0, -0.0, 1.1)]
+    schedule = PulseSchedule(ModelParams(4), pulses)
+    assert len(distinct_keys(schedule)) == 1
+    U = schedule_operator(schedule)
+    assert np.max(np.abs(U - reference_operator(schedule))) <= 1e-12
+
+
+@given(N=st.integers(1, 12),
+       phi_01=st.one_of(st.floats(-math.pi, math.pi), st.sampled_from([0.0, math.pi, -0.0])),
+       phi_1r=st.floats(-math.pi, math.pi).filter(lambda x: x != 0.0),
+       omega_01=st.floats(0.0, 2.0),
+       delta_01=st.floats(-2.0, 2.0).filter(lambda x: x != 0.0))
+@settings(deadline=None, max_examples=60)
+def test_control_phase_is_a_gauge(N, phi_01, phi_1r, omega_01, delta_01):
+    params = ModelParams(N)
+    pulse = PulseParams(1.0, 1.0, phi_1r, omega_01, phi_01, delta_01)
+    H = build_total(params, pulse)
+    H0 = build_total(params, replace(pulse, phi_01=0.0))
+    z = _gauge(N, phi_01)
+    gauged = z[:, None] * H0 * z.conj()[None, :]
+    # the phase phi_01 * q of the q-th level is rounded, so the bound grows with N
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(H - gauged)) <= 2 * eps * (N * abs(phi_01) + 1) * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("N,seed", [(3, 0), (5, 1)])
+def test_run_schedule_final_state_matches_schedule_operator(N, seed):
+    schedule = hadamard_schedule(N)
+    psi = random_state(np.random.default_rng(seed), N)
+    final = run_schedule(psi, schedule, samples_per_pulse=2).final_state
+    expected = schedule_operator(schedule) @ psi.amplitudes
+    assert np.max(np.abs(final.amplitudes - expected)) <= 1e-12
