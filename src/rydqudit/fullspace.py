@@ -5,12 +5,19 @@ ordering) with pairwise van der Waals interactions, with no blockade
 approximation.  Embedding the symmetrized dressed levels into this space
 lets the ladder picture be checked against the microscopic Hamiltonian:
 agreement is asymptotic in the interaction-to-drive ratio V/omega_1r.
+
+The oracle is dense and real: H0 of the phase gauge is assembled as a real
+3^N x 3^N matrix (344 MB at N=8), and one `validate` diagonalises it
+once.  At the 8-site cap a whole `validate` takes about 40 s
+on 2 BLAS threads and 70 s on 1, with a peak RSS of 1.7 GB, nearly all of
+it the dense eigh of size 6561 (2-vCPU Xeon, one run each).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +33,7 @@ from .core import (
 from .propagator import _evolve, _propagate
 
 FULLSPACE_SITE_CAP = 8  # 3^8 = 6561 dense levels, the largest desk-scale oracle
+_SPAN_RTOL = 1e-9       # relative size below which a direction of the site span is flat
 
 
 def blockade_radius(C6: float, omega_1r: float) -> float:
@@ -40,7 +48,8 @@ class Geometry:
     """Atom positions (units of the spacing a) with interaction parameters.
 
     C6 carries units of omega_1r * a^6, so pairwise interactions come out in
-    omega_1r units directly from the coordinate distances.
+    omega_1r units directly from the coordinate distances.  d is the array's
+    dimensionality: the sites' affine span may not have more dimensions.
     """
 
     positions: tuple[tuple[float, float, float], ...]
@@ -72,6 +81,12 @@ class Geometry:
             raise ValueError("spacing and wavelength must be positive")
         if isinstance(self.d, bool) or self.d not in (1, 2, 3):
             raise ValueError(f"dimensionality must be 1, 2 or 3, got {self.d!r}")
+        # the dimension of the sites' affine span, from singular values
+        # relative to the largest
+        spread = np.linalg.svd(sites - sites[0], compute_uv=False)
+        span = int(np.count_nonzero(spread > _SPAN_RTOL * spread[0]))
+        if span > self.d:
+            raise ValueError(f"sites span {span} dimensions, more than d = {int(self.d)}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "d", int(self.d))
 
@@ -142,9 +157,15 @@ def _check_cap(N: int) -> None:
         raise ValueError(f"full-space oracle is capped at {FULLSPACE_SITE_CAP} sites, got {N}")
 
 
+@lru_cache(maxsize=None)
 def _site_levels(N: int) -> np.ndarray:
-    """3^N x N base-3 digit table: row i holds the site levels of configuration i."""
-    return (np.arange(3**N)[:, None] // 3 ** np.arange(N)) % 3
+    """3^N x N base-3 digit table: row i holds the site levels of configuration i.
+
+    Cached per N and read-only.
+    """
+    levels = (np.arange(3**N)[:, None] // 3 ** np.arange(N)) % 3
+    levels.flags.writeable = False
+    return levels
 
 
 def build_full_hamiltonian(g: Geometry, pulse: PulseParams) -> np.ndarray:
@@ -154,10 +175,20 @@ def build_full_hamiltonian(g: Geometry, pulse: PulseParams) -> np.ndarray:
     |1><0| (plus conjugates) and -delta_01 on |1> and |r>; pairwise C6/r^6 on
     doubly-Rydberg configurations.
     """
+    return _assemble(g, pulse, complex)
+
+
+def _assemble(g: Geometry, pulse: PulseParams, dtype: type) -> np.ndarray:
+    """build_full_hamiltonian as a complex or, at zero laser phases, a real matrix.
+
+    The real matrix is the real part of the complex one, bit for bit.  Both
+    triangles are written by index into zeros, and the diagonal is stored as
+    diag + 0.0, so the -0.0 of -delta_01 * n at delta_01 = 0 is +0.0 in both.
+    """
     N = g.N
     _check_cap(N)
     dim = 3**N
-    H = np.zeros((dim, dim), dtype=complex)
+    H = np.zeros((dim, dim), dtype=dtype)
     pos = np.array(g.positions)
     vjk = np.zeros((N, N))
     for j in range(N):
@@ -165,6 +196,10 @@ def build_full_hamiltonian(g: Geometry, pulse: PulseParams) -> np.ndarray:
             vjk[j, k] = g.C6 / float(np.sum((pos[j] - pos[k]) ** 2)) ** 3
     c1r = 0.5 * pulse.omega_1r * np.exp(-1j * pulse.phi_1r)
     c01 = 0.5 * pulse.omega_01 * np.exp(-1j * pulse.phi_01)
+    if dtype is float:
+        if pulse.phi_1r != 0.0 or pulse.phi_01 != 0.0:
+            raise ValueError("a real full Hamiltonian needs both laser phases zero")
+        c1r, c01 = c1r.real, c01.real
     levels = _site_levels(N)
     diag = -pulse.delta_01 * np.count_nonzero(levels, axis=1)
     ryd = levels == 2
@@ -173,14 +208,14 @@ def build_full_hamiltonian(g: Geometry, pulse: PulseParams) -> np.ndarray:
     for j in range(N):
         for k in range(j + 1, N):
             diag[ryd[:, j] & ryd[:, k]] += vjk[j, k]
-    np.fill_diagonal(H, diag)
+    np.fill_diagonal(H, diag + 0.0)
     configs = np.arange(dim)
     for j in range(N):
         for level, amplitude, coupling in ((0, pulse.omega_01, c01), (1, pulse.omega_1r, c1r)):
             if amplitude != 0.0:
                 src = configs[levels[:, j] == level]
-                H[src + 3**j, src] += coupling      # |1><0| or |r><1| on site j
-    H += np.tril(H, -1).conj().T
+                H[src + 3**j, src] += coupling              # |1><0| or |r><1| on site j
+                H[src, src + 3**j] += np.conj(coupling)     # and its conjugate
     return H
 
 
@@ -210,9 +245,15 @@ def embed_dressed(N: int, idx: DressedIndex) -> np.ndarray:
     return vec
 
 
+@lru_cache(maxsize=None)
 def dressed_frame(N: int) -> np.ndarray:
-    """3^N x (2N+1) matrix of embedded dressed levels in canonical order."""
-    return np.column_stack([embed_dressed(N, idx) for idx in level_ordering(N)])
+    """3^N x (2N+1) matrix of embedded dressed levels in canonical order.
+
+    Cached per N and read-only.
+    """
+    B = np.column_stack([embed_dressed(N, idx) for idx in level_ordering(N)])
+    B.flags.writeable = False
+    return B
 
 
 def _real_gauge(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.ndarray]:
@@ -223,8 +264,10 @@ def _real_gauge(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.ndarray
     is real and d = e^{-i (phi_01 n_exc + phi_1r n_r)} per configuration,
     n_exc counting the sites not in |0> and n_r those in |r>.  Real symmetric
     eigh of H0 is several times cheaper than complex Hermitian eigh of H.
+    H0 is assembled real in place, so its build holds no complex 3^N matrix:
+    the only 3^N x 3^N array is H0 itself (344 MB at N=8).
     """
-    H0 = build_full_hamiltonian(g, replace(pulse, phi_1r=0.0, phi_01=0.0)).real.copy()
+    H0 = _assemble(g, replace(pulse, phi_1r=0.0, phi_01=0.0), float)
     return H0, _gauge_diagonal(g, pulse)
 
 
@@ -286,8 +329,10 @@ def compare_spectrum(g: Geometry, pulse: PulseParams,
     w_full, V0 = _real_eigensystem(g, pulse)
     d = _gauge_diagonal(g, pulse)
     w_ladder, V_ladder = np.linalg.eigh(build_total(params, pulse))
-    # overlap of every full eigenvector d * V0[:, k] with each embedded ladder eigenvector
-    overlaps = np.abs(V0.T @ (d.conj()[:, None] * (B @ V_ladder))) ** 2
+    # overlap of every full eigenvector d * V0[:, k] with each embedded ladder
+    # eigenvector, in real products: V0 is never upcast to a complex copy
+    Y = d.conj()[:, None] * (B @ V_ladder)
+    overlaps = (V0.T @ Y.real) ** 2 + (V0.T @ Y.imag) ** 2
     matched = w_full[np.argmax(overlaps, axis=0)]
     return float(np.max(np.abs(matched - w_ladder)))
 

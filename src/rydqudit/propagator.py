@@ -94,12 +94,23 @@ def _propagate(w: np.ndarray, V: np.ndarray, T, X: np.ndarray) -> np.ndarray:
     """exp(-i H t) X from the eigensystem (w, V) of H, as _evolve documents.
 
     Computes V @ (exp(-i w t) * (V^dag @ X)), the phases broadcast over the
-    columns of a matrix X.
+    columns of a matrix X.  A real V (the 3^N oracle's) applies to the real
+    and imaginary parts of a complex operand separately, so it is never
+    upcast to a complex copy.
     """
-    coef = V.conj().T @ X
+    product = _real_product if V.dtype.kind == "f" and X.dtype.kind == "c" else np.matmul
+    coef = product(V.conj().T, X)
     if np.ndim(T) == 0:
-        return V @ (np.exp(-1j * w * T).reshape((-1,) + (1,) * (X.ndim - 1)) * coef)
-    return np.array([V @ (np.exp(-1j * w * t) * coef) for t in T])
+        return product(V, np.exp(-1j * w * T).reshape((-1,) + (1,) * (X.ndim - 1)) * coef)
+    return np.array([product(V, np.exp(-1j * w * t) * coef) for t in T])
+
+
+def _real_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for a real M and a complex X, as two real products."""
+    out = np.empty(M.shape[:1] + X.shape[1:], dtype=complex)
+    out.real = M @ X.real
+    out.imag = M @ X.imag
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -238,17 +249,20 @@ def interaction_frame(trajectory: Trajectory, schedule: PulseSchedule) -> Trajec
     if len(trajectory.boundary_indices) != n_expected:
         raise ValueError("trajectory does not match the schedule's pulse boundaries")
     framed = trajectory.states.copy()
-    dim = schedule.params.dim
-    acc = np.zeros(dim)
+    acc = np.zeros(schedule.params.dim)
+    # the diagonal of build_total depends on neither omega_01 nor phi_01
+    diagonals: dict[tuple[float, float, float], np.ndarray] = {}
     sample = 1
     t_start = 0.0
     for k, pulse in enumerate(schedule.pulses):
-        diag = np.real(np.diag(build_total(schedule.params, pulse)))
-        end = trajectory.boundary_indices[k + 1]
-        while sample <= end:
-            dt = trajectory.times[sample] - t_start
-            framed[sample] *= np.exp(1j * (acc + diag * dt))
-            sample += 1
+        key = (pulse.omega_1r, pulse.phi_1r, pulse.delta_01)
+        if key not in diagonals:
+            diagonals[key] = np.real(np.diag(build_total(schedule.params, pulse)))
+        diag = diagonals[key]
+        end = trajectory.boundary_indices[k + 1] + 1
+        dt = trajectory.times[sample:end] - t_start
+        framed[sample:end] *= np.exp(1j * (acc + np.multiply.outer(dt, diag)))
+        sample = end
         acc += diag * pulse.T
         t_start += pulse.T
     return Trajectory(trajectory.times.copy(), framed, list(trajectory.boundary_indices))

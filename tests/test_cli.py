@@ -342,6 +342,17 @@ def test_validate_rejects_non_finite_and_non_integer_geometry(runner, tmp_path, 
     assert not (tmp_path / "v.json").exists()
 
 
+def test_validate_rejects_sites_spanning_more_than_d(runner, tmp_path):
+    geom_path = tmp_path / "g.json"
+    geom_path.write_text(json.dumps({**TRIANGLE, "d": 1}))
+    for extra in ([], ["--allow-invalid"]):
+        res = runner.invoke(main, ["validate", str(geom_path), "-o", str(tmp_path / "v.json")]
+                            + extra)
+        assert res.exit_code == 2, res.output
+        assert "sites span 2 dimensions, more than d = 1" in res.output
+    assert not (tmp_path / "v.json").exists()
+
+
 @pytest.mark.parametrize("separation,message", [
     (1e-60, "sites 0 and 1 are too close"),       # r^6 underflows to 0
     (1e-52, "sites 0 and 1 are too close"),       # C6/r^6 overflows

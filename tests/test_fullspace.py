@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,10 @@ from rydqudit import fullspace
 from rydqudit.fullspace import (
     FULLSPACE_SITE_CAP,
     Geometry,
+    _assemble,
     _real_eigensystem,
     _real_gauge,
+    _site_levels,
     blockade_radius,
     build_full_hamiltonian,
     compare_evolution,
@@ -342,6 +345,38 @@ def test_real_gauge_oracle_matches_complex_diagonalization(g):
             assert abs(got - ref_compare_evolution(g, pulse, 10.0, initial)) <= 1e-12
 
 
+@given(g=fs_geometries, pulse=fs_pulses)
+@settings(deadline=None, max_examples=40)
+def test_real_gauge_is_the_real_part_of_the_zero_phase_hamiltonian_bit_for_bit(g, pulse):
+    zero = replace(pulse, phi_1r=0.0, phi_01=0.0)
+    assert _real_gauge(g, pulse)[0].tobytes() == build_full_hamiltonian(g, zero).real.tobytes()
+
+
+def test_real_assembly_needs_zero_phases():
+    with pytest.raises(ValueError, match="phases zero"):
+        _assemble(chain(2, 1e4), PulseParams(1.0, 1.0, 0.3), float)
+
+
+def test_real_gauge_allocates_little_beyond_h0():
+    g, pulse = random_geometry(6, 8, 1e4), PulseParams(1.0, 1.0, 0.4, 1e-2, 0.9, 0.1)
+    _site_levels(g.N)
+    tracemalloc.start()
+    try:
+        H0, _ = _real_gauge(g, pulse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * H0.nbytes
+
+
+def test_per_site_count_tables_are_cached_and_read_only():
+    for table in (_site_levels, dressed_frame):
+        first = table(4)
+        assert table(4) is first and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+
+
 GEOMETRY_FIELDS = dict(positions=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), a=1.0,
                        wavelength=0.5, C6=1e4, d=1)
 
@@ -464,3 +499,34 @@ def test_eigensystem_arrays_are_read_only(eigh_calls):
         w[0] = 0.0
     with pytest.raises(ValueError):
         V0[0, 0] = 0.0
+
+
+# --- the declared dimensionality bounds the span of the sites --------------
+
+PLANAR = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, math.sqrt(3) / 2, 0.0))
+
+
+@pytest.mark.parametrize("positions,d", [
+    (PLANAR, 1),
+    (PLANAR[:2] + ((2.0, 1e-6, 0.0),), 1),
+    (PLANAR + ((0.5, 0.3, 0.8),), 2),
+], ids=["triangle-in-1d", "bent-chain-in-1d", "tetrahedron-in-2d"])
+def test_geometry_rejects_sites_spanning_more_than_d(positions, d):
+    fields = {**GEOMETRY_FIELDS, "positions": positions, "d": d}
+    with pytest.raises(ValueError, match=f"sites span {d + 1} dimensions, more than d = {d}"):
+        Geometry(**fields)
+    with pytest.raises(ValueError, match="more than d"):
+        Geometry.from_dict({**Geometry(**{**fields, "d": 3}).to_dict(), "d": d})
+
+
+@pytest.mark.parametrize("positions,d", [
+    (((0.0, 0.0, 0.0),), 1),
+    (tuple((float(i), 2.0 * i, -0.5 * i) for i in range(4)), 1),
+    (PLANAR[:2] + ((2.0, 1e-12, 0.0),), 1),
+    (PLANAR, 2), (PLANAR, 3),
+    (tuple((math.cos(k), math.sin(k), 0.0) for k in range(5)), 2),
+], ids=["single-site", "tilted-chain", "chain-within-tolerance", "triangle", "triangle-in-3d",
+        "circle"])
+def test_geometry_accepts_sites_within_d(positions, d):
+    g = Geometry(**{**GEOMETRY_FIELDS, "positions": positions, "d": d})
+    assert Geometry.from_dict(g.to_dict()) == g

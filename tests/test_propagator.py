@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from rydqudit.compiler import CompileOptions, compile_unitary
+from rydqudit.compiler import CompileOptions, compile_state_prep, compile_unitary
 from rydqudit.core import (
     ContractViolation,
     DressedIndex,
@@ -23,6 +23,7 @@ from rydqudit.core import (
 from rydqudit.propagator import (
     PulseSchedule,
     _evolve,
+    _propagate,
     _gauge,
     evolve_pulse,
     extract_gate,
@@ -42,6 +43,11 @@ def random_pulse(rng, label=""):
         delta_01=float(rng.uniform(-1.5, 1.5)),
         label=label,
     )
+
+
+@cache
+def hadamard_schedule(N):
+    return compile_unitary(hadamard_target(N), CompileOptions(omega_01=1e-2))
 
 
 def random_state(rng, N):
@@ -188,6 +194,41 @@ def test_interaction_frame_cancels_pure_diagonal_evolution():
     assert np.max(np.abs(framed.states - psi0.amplitudes)) <= 1e-9
 
 
+def reference_interaction_frame(trajectory, schedule):
+    # the per-sample definition: one Hamiltonian build per pulse, one sample at a time
+    framed = trajectory.states.copy()
+    acc = np.zeros(schedule.params.dim)
+    sample = 1
+    t_start = 0.0
+    for k, pulse in enumerate(schedule.pulses):
+        diag = np.real(np.diag(build_total(schedule.params, pulse)))
+        end = trajectory.boundary_indices[k + 1]
+        while sample <= end:
+            dt = trajectory.times[sample] - t_start
+            framed[sample] *= np.exp(1j * (acc + diag * dt))
+            sample += 1
+        acc += diag * pulse.T
+        t_start += pulse.T
+    return framed
+
+
+@pytest.mark.parametrize("schedule,samples", [
+    (hadamard_schedule(3), 3),
+    (compile_state_prep(QuditState.uniform(4), CompileOptions(omega_01=1e-2)), 5),
+    (PulseSchedule(ModelParams(2), (PulseParams(1.5, 1.0, 0.4, 0.2, 0.1, -0.3),
+                                    PulseParams(0.0, 1.0, 0.4, 0.1, 1.7, -0.3),
+                                    PulseParams(2.0, 0.8, -0.0, 0.0, 0.0, 0.0),
+                                    PulseParams(0.7, 1.0, 0.4, 0.3, -2.2, -0.3))), 4),
+], ids=["hadamard-n3", "prep-n4", "repeated-keys"])
+def test_interaction_frame_matches_per_sample_reference_bit_for_bit(schedule, samples):
+    psi0 = random_state(np.random.default_rng(11), schedule.params.N)
+    traj = run_schedule(psi0, schedule, samples_per_pulse=samples)
+    framed = interaction_frame(traj, schedule)
+    assert framed.states.tobytes() == reference_interaction_frame(traj, schedule).tobytes()
+    assert framed.times.tobytes() == traj.times.tobytes()
+    assert framed.boundary_indices == traj.boundary_indices
+
+
 def test_interaction_frame_requires_matching_schedule():
     params = ModelParams(2)
     schedule = PulseSchedule(params, (PulseParams(1.0),))
@@ -204,11 +245,6 @@ def test_schedule_concat_rejects_mismatched_n():
 
 
 # --- one eigendecomposition per distinct pulse Hamiltonian -----------------
-
-
-@cache
-def hadamard_schedule(N):
-    return compile_unitary(hadamard_target(N), CompileOptions(omega_01=1e-2))
 
 
 def distinct_keys(schedule):
@@ -296,3 +332,20 @@ def test_run_schedule_final_state_matches_schedule_operator(N, seed):
     final = run_schedule(psi, schedule, samples_per_pulse=2).final_state
     expected = schedule_operator(schedule) @ psi.amplitudes
     assert np.max(np.abs(final.amplitudes - expected)) <= 1e-12
+
+
+# --- a real eigenbasis applied in real products -----------------------------
+
+
+@pytest.mark.parametrize("T,shape", [(2.5, (9,)), (2.5, (9, 4)),
+                                     (np.array([0.0, 0.3, 7.0]), (9,))],
+                         ids=["vector", "matrix", "stacked-times"])
+def test_real_eigenbasis_matches_its_complex_copy(T, shape):
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(9, 9))
+    w, V = np.linalg.eigh(A + A.T)
+    X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = _propagate(w, V, T, X)
+    want = _propagate(w, V.astype(complex), T, X)
+    assert got.dtype == want.dtype == complex and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14
