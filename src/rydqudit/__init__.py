@@ -69,10 +69,6 @@ from .fullspace import (
     embed_dressed,
     validate_geometry,
 )
-from .cli import (
-    schedule_from_json,
-    schedule_to_json,
-)
 
 __all__ = [
     "ContractViolation",
@@ -133,3 +129,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The command-line module, and the schedule JSON I/O it owns, load on first
+# use (PEP 562), so that importing the library does not import click.
+_LAZY_FROM_CLI = ("schedule_from_json", "schedule_to_json")
+
+
+def __getattr__(name):
+    if name == "cli" or name in _LAZY_FROM_CLI:
+        import importlib
+
+        cli = importlib.import_module(".cli", __name__)
+        for attr in _LAZY_FROM_CLI:
+            globals()[attr] = getattr(cli, attr)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -333,7 +333,7 @@ def cmd_simulate(schedule_file: str, initial_spec: Optional[str],
 @click.option("--gamma-r", type=float, default=None)
 @click.option("--gamma-r-hz", type=float, default=None)
 @click.option("--omega1r-hz", type=float, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel workers for grid points.")
 @click.option("--output", "-o", default="scan.csv", show_default=True)
 @click.option("--frontier", "frontier_out", default=None,

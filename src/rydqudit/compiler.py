@@ -36,7 +36,6 @@ from functools import cache, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     TAU,
@@ -205,8 +204,9 @@ def _solve_pair_rotation(params: ModelParams, omega_01: float,
 
     The realized in-plane axis azimuth is an affine function of phi_01 whose
     offset and sense are read off the control matrix element numerically, so
-    the solution is immune to sign-convention drift.  The degenerate u = -z
-    case falls back to azimuth 0 through atan2(0,0) = 0.
+    the solution is immune to sign-convention drift.  At u = -z the target
+    level is empty and u_x, u_y are rounding noise, so the azimuth follows
+    that noise rather than a fixed axis (ROADMAP item 1).
     """
     tpos, opos = target.position(), other.position()
     h0 = control_element(params, omega_01, 0.0, tpos, opos)
@@ -488,8 +488,11 @@ def unitary_eigensystem(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     positive, so identical inputs yield identical output bit for bit.  The
     decomposition is verified by reconstruction.
     """
+    # Imported here, its only use, so that importing the package skips scipy.
+    from scipy.linalg import schur
+
     U = require_unitary(U, 1e-10)
-    Tm, Z = scipy.linalg.schur(U, output="complex")
+    Tm, Z = schur(U, output="complex")
     phases = np.angle(np.diag(Tm))
     order = np.argsort(phases, kind="stable")
     phases = phases[order]

@@ -70,8 +70,8 @@ class DecayParams:
     gamma_r: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gamma_r < 0:
-            raise ValueError(f"gamma_r must be >= 0, got {self.gamma_r}")
+        if not 0 <= self.gamma_r < math.inf:
+            raise ValueError(f"gamma_r must be finite and >= 0, got {self.gamma_r}")
 
     @classmethod
     def from_physical(cls, gamma_r_hz: float, omega_1r_hz: float) -> "DecayParams":
@@ -80,8 +80,8 @@ class DecayParams:
         Both arguments must use the same convention (e.g. angular
         frequencies in rad/s); only their ratio enters.
         """
-        if not omega_1r_hz > 0:
-            raise ValueError("omega_1r_hz must be positive")
+        if not 0 < omega_1r_hz < math.inf:
+            raise ValueError(f"omega_1r_hz must be finite and positive, got {omega_1r_hz}")
         return cls(gamma_r_hz / omega_1r_hz)
 
 

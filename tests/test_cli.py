@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rydqudit
 from rydqudit.cli import (
     main,
     parse_state,
@@ -248,6 +251,38 @@ def test_scan_command_and_jobs_determinism(runner, tmp_path):
     assert seq.read_bytes() == par.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_scan_rejects_fewer_than_one_job(runner, tmp_path, jobs):
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["scan", "--kind", "phase", "-N", "2", "--ratio", "1e-2",
+                               "--jobs", jobs, "-o", str(out)])
+    assert res.exit_code == 2
+    assert "--jobs" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gamma-r", "nan"],
+    ["--gamma-r", "inf"],
+    ["--gamma-r-hz", "1.0", "--omega1r-hz", "inf"],
+    ["--gamma-r-hz", "nan", "--omega1r-hz", "1e9"],
+], ids=["nan", "inf", "inf-omega", "nan-hz"])
+def test_decay_flags_reject_non_finite_rates(runner, tmp_path, flags):
+    scan_out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["scan", "--kind", "phase", "-N", "2", "--ratio", "1e-2",
+                               "-o", str(scan_out), *flags])
+    assert res.exit_code == 2, res.output
+    assert not scan_out.exists()
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(schedule_to_json(sample_schedule()))
+    report_path = tmp_path / "r.json"
+    res = runner.invoke(main, ["simulate", str(sched_path), "--initial", "uniform",
+                               "--report", str(report_path), *flags])
+    assert res.exit_code == 2, res.output
+    assert "finite" in res.output
+    assert not report_path.exists()
+
+
 def test_scan_frontier_output(runner, tmp_path):
     res = runner.invoke(main, ["scan", "--kind", "phase", "-N", "2",
                                "--ratio", "1e-2", "--gamma-r", "1e-6",
@@ -401,3 +436,43 @@ def test_validate_reuses_the_oracle_eigensystem(runner, tmp_path, monkeypatch):
     fullspace._eigensystem = None
     assert validate("cleared.json", "--ratio", "3e-2") == other
     assert len(full_eighs) == 3
+
+
+def run_python(tmp_path, *args):
+    """Run a fresh interpreter that imports rydqudit from this checkout."""
+    src = os.path.dirname(os.path.dirname(rydqudit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+IMPORT_PROBE = """
+import sys
+import rydqudit as rq
+
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+
+assert not loaded("click"), loaded("click")
+assert not loaded("scipy"), loaded("scipy")
+from rydqudit import schedule_from_json
+assert rq.schedule_to_json is rq.cli.schedule_to_json
+assert schedule_from_json is rq.cli.schedule_from_json
+assert loaded("click") and not loaded("scipy")
+schedule = rq.compile_unitary(rq.hadamard_target(2), rq.CompileOptions(omega_01=1e-2))
+assert len(schedule.pulses) > 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_import_loads_neither_click_nor_scipy(tmp_path):
+    # A fresh interpreter: this suite has loaded click and scipy already.
+    res = run_python(tmp_path, "-c", IMPORT_PROBE)
+    assert res.returncode == 0, res.stderr
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    res = run_python(tmp_path, "-m", "rydqudit.cli", "--help")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    assert res.stdout.startswith("Usage:")

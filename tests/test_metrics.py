@@ -70,6 +70,20 @@ def test_decay_params():
         DecayParams.from_physical(1.0, 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DecayParams(math.nan),
+    lambda: DecayParams(math.inf),
+    lambda: DecayParams.from_physical(1.0, math.inf),
+    lambda: DecayParams.from_physical(1.0, math.nan),
+    lambda: DecayParams.from_physical(math.nan, 1.0),
+    lambda: DecayParams.from_physical(math.inf, 1.0),
+    lambda: DecayParams.from_physical(1e300, 1e-300),
+], ids=["nan", "inf", "inf-omega", "nan-omega", "nan-gamma", "inf-gamma", "overflow"])
+def test_decay_params_reject_non_finite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_decay_survival_matches_estimate_for_static_excited_state():
     # a state parked on the dressed manifold has Rydberg population 1/2,
     # so the trajectory integral reproduces the closed form exactly
