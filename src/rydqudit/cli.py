@@ -1,9 +1,10 @@
 """Command-line front end: compile, simulate, scan, validate.
 
 Owns the interchange formats: schedule documents and reports as JSON,
-trajectories and scans as CSV.  All floats are serialized with repr (17
-significant digits) so round-trips are lossless and identical inputs give
-byte-identical files; output files are written atomically.
+trajectories and scans as CSV.  All floats are serialized with repr, the
+shortest string that round-trips (at most 17 significant digits), so
+round-trips are lossless and identical inputs give byte-identical files;
+output files are written atomically.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/contract failure.
 """
@@ -271,8 +272,8 @@ def cmd_compile(gate: str, n_atoms: int, ratio: float, phi: float, target_spec: 
 @click.option("--trajectory", "trajectory_out", default=None,
               help="Trajectory CSV output path.")
 @click.option("--report", "report_out", default="report.json", show_default=True)
-@click.option("--samples-per-pulse", type=int, default=DEFAULT_SAMPLES_PER_PULSE,
-              show_default=True)
+@click.option("--samples-per-pulse", type=click.IntRange(min=1),
+              default=DEFAULT_SAMPLES_PER_PULSE, show_default=True)
 @click.option("--frame", type=click.Choice(["lab", "interaction"]), default="lab",
               show_default=True, help="Divide out diagonal phases if 'interaction'.")
 @click.option("--mask-phases", is_flag=True, default=False,

@@ -94,15 +94,21 @@ def _propagate(w: np.ndarray, V: np.ndarray, T, X: np.ndarray) -> np.ndarray:
     """exp(-i H t) X from the eigensystem (w, V) of H, as _evolve documents.
 
     Computes V @ (exp(-i w t) * (V^dag @ X)), the phases broadcast over the
-    columns of a matrix X.  A real V (the 3^N oracle's) applies to the real
-    and imaginary parts of a complex operand separately, so it is never
-    upcast to a complex copy.
+    columns of a matrix X.  A 1-D array of n times takes a vector X only:
+    its n phase vectors are the columns of one (dim, n) matrix, so every
+    sample comes from one matrix product, returned transposed to (n, dim).
+    A real V (the 3^N oracle's) applies to the real and imaginary parts of
+    a complex operand separately, so it is never upcast to a complex copy.
     """
+    stacked = np.ndim(T) != 0
+    if stacked and (np.ndim(T) != 1 or X.ndim != 1):
+        raise ValueError("an array of times must be 1-D and needs a vector operand; "
+                         "a matrix operand takes one scalar time")
     product = _real_product if V.dtype.kind == "f" and X.dtype.kind == "c" else np.matmul
     coef = product(V.conj().T, X)
-    if np.ndim(T) == 0:
-        return product(V, np.exp(-1j * w * T).reshape((-1,) + (1,) * (X.ndim - 1)) * coef)
-    return np.array([product(V, np.exp(-1j * w * t) * coef) for t in T])
+    if stacked:
+        return product(V, np.exp(np.multiply.outer(-1j * w, T)) * coef[:, None]).T
+    return product(V, np.exp(-1j * w * T).reshape((-1,) + (1,) * (X.ndim - 1)) * coef)
 
 
 def _real_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -171,32 +177,41 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
 
     Every pulse boundary is a sample point; intermediate samples reuse the
     pulse's eigendecomposition, which pulses differing only in phi_01 share.
-    The final state agrees with a sequential evolve_pulse composition to
-    machine precision.
+    A pulse's interior samples come from one stacked product; its boundary
+    sample, the state carried into the next pulse, is evolved on its own at
+    t = T, so boundaries and the final state do not depend on
+    samples_per_pulse and agree with a sequential evolve_pulse composition
+    to machine precision.
     """
     if samples_per_pulse < 1:
         raise ValueError("samples_per_pulse must be >= 1")
     if initial.N != schedule.params.N:
         raise ValueError("initial state dimension does not match the schedule")
     evolve = _schedule_evolver(schedule.params)
-    psi = initial.amplitudes.copy()
-    times = [0.0]
-    states = [psi.copy()]
+    n = samples_per_pulse
+    size = 1 + sum(n if p.T != 0.0 else 1 for p in schedule.pulses)
+    times = np.empty(size)
+    states = np.empty((size, schedule.params.dim), dtype=complex)
+    psi = initial.amplitudes
+    times[0], states[0] = 0.0, psi
     boundaries = [0]
     t0 = 0.0
     for pulse in schedule.pulses:
+        k = boundaries[-1]
         if pulse.T == 0.0:
-            times.append(t0)
-            states.append(psi.copy())
-            boundaries.append(len(times) - 1)
+            times[k + 1], states[k + 1] = t0, psi
+            boundaries.append(k + 1)
             continue
-        rel = np.linspace(0.0, pulse.T, samples_per_pulse + 1)[1:]
-        times.extend(t0 + rel)
-        states.extend(evolve(pulse, rel, psi))
-        boundaries.append(len(times) - 1)
-        psi = states[-1].copy()
+        # linspace stores the endpoint exactly, so rel[-1] == pulse.T
+        rel = np.linspace(0.0, pulse.T, n + 1)[1:]
+        times[k + 1:k + n + 1] = t0 + rel
+        if n > 1:
+            states[k + 1:k + n] = evolve(pulse, rel[:-1], psi)
+        psi = evolve(pulse, pulse.T, psi)
+        states[k + n] = psi
+        boundaries.append(k + n)
         t0 += pulse.T
-    return Trajectory(np.array(times), np.array(states), boundaries)
+    return Trajectory(times, states, boundaries)
 
 
 def schedule_operator(schedule: PulseSchedule) -> np.ndarray:

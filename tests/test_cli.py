@@ -205,6 +205,19 @@ def test_simulate_trajectory_output(runner, tmp_path):
     assert lines[0].startswith("time,abs_g0,arg_g0,abs_m1")
 
 
+@pytest.mark.parametrize("initial", [[], ["--initial", "uniform"]], ids=["report", "trajectory"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_sample_per_pulse(runner, tmp_path, samples, initial):
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(schedule_to_json(sample_schedule()))
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, ["simulate", str(sched_path), *initial,
+                               "--samples-per-pulse", samples, "--report", str(report)])
+    assert res.exit_code == 2
+    assert "--samples-per-pulse" in res.output
+    assert not report.exists()
+
+
 def test_exit_code_config_errors(runner, tmp_path):
     res = runner.invoke(main, ["compile", "--gate", "phase", "-N", "3",
                                "--ratio", "1e-2", "--target", "basis:+,9",

@@ -25,6 +25,7 @@ from rydqudit.propagator import (
     _evolve,
     _propagate,
     _gauge,
+    _schedule_evolver,
     evolve_pulse,
     extract_gate,
     interaction_frame,
@@ -53,6 +54,15 @@ def hadamard_schedule(N):
 def random_state(rng, N):
     v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
     return QuditState.from_vector(v, normalize=True)
+
+
+PREP_N4 = compile_state_prep(QuditState.uniform(4), CompileOptions(omega_01=1e-2))
+# a zero-duration pulse, two pulses sharing one diagonal, and phi_1r = -0.0
+REPEATED_KEYS = PulseSchedule(ModelParams(2), (PulseParams(1.5, 1.0, 0.4, 0.2, 0.1, -0.3),
+                                               PulseParams(0.0, 1.0, 0.4, 0.1, 1.7, -0.3),
+                                               PulseParams(2.0, 0.8, -0.0, 0.0, 0.0, 0.0),
+                                               PulseParams(0.7, 1.0, 0.4, 0.3, -2.2, -0.3)))
+SCHEDULE_IDS = ["hadamard-n3", "prep-n4", "repeated-keys"]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -213,13 +223,7 @@ def reference_interaction_frame(trajectory, schedule):
 
 
 @pytest.mark.parametrize("schedule,samples", [
-    (hadamard_schedule(3), 3),
-    (compile_state_prep(QuditState.uniform(4), CompileOptions(omega_01=1e-2)), 5),
-    (PulseSchedule(ModelParams(2), (PulseParams(1.5, 1.0, 0.4, 0.2, 0.1, -0.3),
-                                    PulseParams(0.0, 1.0, 0.4, 0.1, 1.7, -0.3),
-                                    PulseParams(2.0, 0.8, -0.0, 0.0, 0.0, 0.0),
-                                    PulseParams(0.7, 1.0, 0.4, 0.3, -2.2, -0.3))), 4),
-], ids=["hadamard-n3", "prep-n4", "repeated-keys"])
+    (hadamard_schedule(3), 3), (PREP_N4, 5), (REPEATED_KEYS, 4)], ids=SCHEDULE_IDS)
 def test_interaction_frame_matches_per_sample_reference_bit_for_bit(schedule, samples):
     psi0 = random_state(np.random.default_rng(11), schedule.params.N)
     traj = run_schedule(psi0, schedule, samples_per_pulse=samples)
@@ -227,6 +231,37 @@ def test_interaction_frame_matches_per_sample_reference_bit_for_bit(schedule, sa
     assert framed.states.tobytes() == reference_interaction_frame(traj, schedule).tobytes()
     assert framed.times.tobytes() == traj.times.tobytes()
     assert framed.boundary_indices == traj.boundary_indices
+
+
+def reference_samples(psi, schedule, samples):
+    # one scalar evolve per sample: the chain of boundary states and, apart, the interior
+    evolve = _schedule_evolver(schedule.params)
+    chain, interior = [psi], []
+    for p in schedule.pulses:
+        if p.T != 0.0:
+            rel = np.linspace(0.0, p.T, samples + 1)[1:]
+            interior += [evolve(p, t, psi) for t in rel[:-1]]
+            psi = evolve(p, p.T, psi)
+        chain.append(psi)
+    return np.array(chain), np.array(interior).reshape(-1, psi.size)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 5])
+@pytest.mark.parametrize("schedule", [hadamard_schedule(3), PREP_N4, REPEATED_KEYS],
+                         ids=SCHEDULE_IDS)
+def test_run_schedule_matches_per_sample_evolution(schedule, samples):
+    psi0 = random_state(np.random.default_rng(11), schedule.params.N).amplitudes
+    traj = run_schedule(QuditState(psi0), schedule, samples_per_pulse=samples)
+    chain, interior = reference_samples(psi0, schedule, samples)
+    boundary = np.zeros(len(traj.times), dtype=bool)
+    boundary[traj.boundary_indices] = True
+    # boundaries, and so the state carried between pulses, are bit-exact
+    assert traj.states[boundary].tobytes() == chain.tobytes()
+    if samples == 1:
+        assert boundary.all() and traj.states.tobytes() == chain.tobytes()
+    # interior samples come from one stacked product per pulse
+    assert traj.states[~boundary].shape == interior.shape
+    assert np.max(np.abs(traj.states[~boundary] - interior), initial=0.0) <= 1e-14
 
 
 def test_interaction_frame_requires_matching_schedule():
@@ -349,3 +384,19 @@ def test_real_eigenbasis_matches_its_complex_copy(T, shape):
     want = _propagate(w, V.astype(complex), T, X)
     assert got.dtype == want.dtype == complex and got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14
+    if np.ndim(T) == 1:
+        for basis in (V, V.astype(complex)):
+            per_time = np.array([_propagate(w, basis, t, X) for t in T])
+            assert np.max(np.abs(_propagate(w, basis, T, X) - per_time)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (5, 3)], ids=["square", "non-square"])
+def test_stacked_times_need_a_vector_operand(shape):
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    w, V = np.linalg.eigh(A + A.conj().T)
+    X = np.eye(*shape, dtype=complex)
+    with pytest.raises(ValueError, match="vector operand"):
+        _propagate(w, V, np.array([0.5, 1.0]), X)
+    # one time per call is the matrix operand's contract
+    assert _propagate(w, V, 1.0, X).shape == shape
