@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -85,18 +86,42 @@ def schedule_to_document(schedule: PulseSchedule) -> dict:
     }
 
 
+_PULSE_FIELDS = ("T", "omega_1r", "phi_1r", "omega_01", "phi_01", "delta_01")
+_pulse_values = operator.itemgetter(*_PULSE_FIELDS)
+_JSON_NUMBERS = frozenset({int, float})     # exact types: bool is not a JSON number
+
+
 def schedule_from_document(doc: dict) -> PulseSchedule:
+    """Schedule of a format-v1 document; a value of the wrong JSON type raises ValueError."""
+    if type(doc) is not dict:
+        raise ValueError("a schedule document must be a JSON object")
     version = doc.get("format_version")
     if version != SCHEDULE_FORMAT_VERSION:
         raise ValueError(f"unsupported schedule format_version {version!r}")
-    params = ModelParams(int(doc["N"]))
-    pulses = tuple(
-        PulseParams(float(p["T"]), float(p["omega_1r"]), float(p["phi_1r"]),
-                    float(p["omega_01"]), float(p["phi_01"]),
-                    float(p["delta_01"]), str(p.get("label", "")))
-        for p in doc["pulses"]
-    )
-    return PulseSchedule(params, pulses)
+    N = doc["N"]
+    if type(N) is not int:      # bool is a subclass of int, so not isinstance
+        raise ValueError(f"schedule N must be a JSON integer, got {N!r}")
+    pulses = doc["pulses"]
+    if type(pulses) is not list:
+        raise ValueError("schedule pulses must be a JSON array")
+    return PulseSchedule(ModelParams(N), tuple(_pulse_from_entry(p) for p in pulses))
+
+
+def _pulse_from_entry(entry: dict) -> PulseParams:
+    if type(entry) is not dict:
+        raise ValueError(f"a pulse entry must be a JSON object, got {entry!r}")
+    values = _pulse_values(entry)
+    label = entry.get("label", "")
+    if not _JSON_NUMBERS.issuperset(map(type, values)):
+        name, value = next((n, v) for n, v in zip(_PULSE_FIELDS, values)
+                           if type(v) not in _JSON_NUMBERS)
+        raise ValueError(f"pulse field {name} must be a JSON number, got {value!r}")
+    if type(label) is not str:
+        raise ValueError(f"pulse label must be a JSON string, got {label!r}")
+    try:
+        return PulseParams(*map(float, values), label)
+    except OverflowError:
+        raise ValueError("a pulse field is an integer too large for a float") from None
 
 
 def schedule_to_json(schedule: PulseSchedule) -> str:

@@ -44,6 +44,7 @@ from .core import (
     ModelParams,
     PulseParams,
     QuditState,
+    _pair_bloch,
     bloch_vector,
     build_control,
     build_total,
@@ -162,29 +163,78 @@ def effective_hamiltonian(params: ModelParams, pulse: PulseParams) -> np.ndarray
     Shaped readout pulses (label suffix ":shaped") also carry the light
     shifts of their off-resonant couplings on the diagonal.
     """
-    H = build_total(params, pulse)
     pair = effective_pair_for_label(pulse.label, params.N)
     if pair is None:
-        return H
-    return _effective(H, pair, light_shifts=pulse.label.endswith(_SHAPED))
+        return build_total(params, pulse)
+    if pulse.label.endswith(_SHAPED):
+        return _light_shifted(build_total(params, pulse), pair)
+    return _pair_hamiltonian(params, pulse, pair)
 
 
-def _effective(H: np.ndarray, pair: tuple[int, int], light_shifts: bool) -> np.ndarray:
+def _light_shifted(H: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Diagonal of H with its light shifts, plus the pair's coupling only."""
     Heff = np.diag(np.diag(H))
-    if light_shifts:
-        Heff += np.diag(_light_shifts(H, pair))
+    Heff += np.diag(_light_shifts(H, pair))
     i, j = pair
     Heff[i, j] = H[i, j]
     Heff[j, i] = H[j, i]
     return Heff
 
 
-def _advance(state: QuditState, params: ModelParams,
-             pulses: tuple[PulseParams, ...]) -> QuditState:
-    vec = state.amplitudes
+@lru_cache(maxsize=256)
+def _diagonal(N: int, omega_1r: float, phi_1r: float, delta_01: float) -> np.ndarray:
+    """build_total's diagonal, which neither omega_01 nor phi_01 enters (read-only)."""
+    d = np.diag(build_total(ModelParams(N), PulseParams(1.0, omega_1r, phi_1r, 0.0, 0.0,
+                                                       delta_01))).copy()
+    d.flags.writeable = False
+    return d
+
+
+def _pair_hamiltonian(params: ModelParams, pulse: PulseParams,
+                      pair: tuple[int, int]) -> np.ndarray:
+    """Effective Hamiltonian of an unshaped pulse resonant on pair, built directly.
+
+    The cached diagonal of build_total plus the pair's two control elements,
+    where the bare part is zero: bit for bit the diagonal and pair elements
+    of build_total(params, pulse), without building it.
+    """
+    i, j = pair
+    Heff = np.diag(_diagonal(params.N, pulse.omega_1r, pulse.phi_1r, pulse.delta_01))
+    Heff[i, j] = control_element(params, pulse.omega_01, pulse.phi_01, i, j)
+    Heff[j, i] = control_element(params, pulse.omega_01, pulse.phi_01, j, i)
+    return Heff
+
+
+def _advance(vec: np.ndarray, params: ModelParams, pulses: tuple[PulseParams, ...],
+             pair: Optional[tuple[int, int]]) -> np.ndarray:
+    """Carry an effective state through pulses that are all resonant on pair.
+
+    pair holds the (target, other) positions of the emitting rotation, the
+    pair effective_pair_for_label reads from the pulses' labels, or None for
+    bare doublet pulses, whose eigensystem is cached per key.  So each step
+    is bit for bit the evolution under effective_hamiltonian.  Returns the
+    normalized vector.
+    """
     for p in pulses:
-        vec = _evolve(effective_hamiltonian(params, p), p.T, vec)
-    return QuditState.from_vector(vec, normalize=True)
+        if pair is None:
+            w, V = _bare_eigensystem(params.N, p.omega_1r, p.phi_1r)
+        else:
+            w, V = np.linalg.eigh(_pair_hamiltonian(params, p, pair))
+        vec = _propagate(w, V, p.T, vec)
+    return vec / np.linalg.norm(vec)
+
+
+@lru_cache(maxsize=256)
+def _bare_eigensystem(N: int, omega_1r: float, phi_1r: float) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of build_total for a bare pulse (read-only).
+
+    Every doublet pulse of a key has the same Hamiltonian, so it shares one
+    eigensystem.
+    """
+    w, V = np.linalg.eigh(build_total(ModelParams(N), PulseParams(1.0, omega_1r, phi_1r)))
+    w.flags.writeable = False
+    V.flags.writeable = False
+    return w, V
 
 
 def replay_effective(initial: QuditState, schedule: PulseSchedule) -> QuditState:
@@ -194,7 +244,10 @@ def replay_effective(initial: QuditState, schedule: PulseSchedule) -> QuditState
     exactly; comparing against full propagation isolates the off-resonant
     error.
     """
-    return _advance(initial, schedule.params, schedule.pulses)
+    vec = initial.amplitudes
+    for p in schedule.pulses:
+        vec = _evolve(effective_hamiltonian(schedule.params, p), p.T, vec)
+    return QuditState.from_vector(vec, normalize=True)
 
 
 def _solve_pair_rotation(params: ModelParams, omega_01: float,
@@ -206,7 +259,7 @@ def _solve_pair_rotation(params: ModelParams, omega_01: float,
     offset and sense are read off the control matrix element numerically, so
     the solution is immune to sign-convention drift.  At u = -z the target
     level is empty and u_x, u_y are rounding noise, so the azimuth follows
-    that noise rather than a fixed axis (ROADMAP item 1).
+    that noise rather than a fixed axis (ROADMAP item 2).
     """
     tpos, opos = target.position(), other.position()
     h0 = control_element(params, omega_01, 0.0, tpos, opos)
@@ -225,10 +278,11 @@ def _pair_axis(h0: complex, h1: complex, u: np.ndarray) -> tuple[float, float]:
     return wrap_phase(sense * wrap_phase(beta - math.pi / 2 - a0)), theta
 
 
-def _emit_pair_rotation(eff: QuditState, target: DressedIndex, other: DressedIndex,
+def _emit_pair_rotation(eff: np.ndarray, target: DressedIndex, other: DressedIndex,
                         delta_01: float, name: str, opts: CompileOptions,
-                        params: ModelParams) -> tuple[tuple[PulseParams, ...], QuditState]:
-    u, weight = bloch_vector(eff, (target, other))
+                        params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
+    pair = (target.position(), other.position())
+    u, weight = _pair_bloch(eff, *pair)
     if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
         return (), eff
     omega_01 = opts.omega_01 * params.omega_1r
@@ -245,7 +299,7 @@ def _emit_pair_rotation(eff: QuditState, target: DressedIndex, other: DressedInd
     else:
         pulses = (PulseParams(T, params.omega_1r, 0.0, omega_01, phi_01,
                               delta_01, label=name),)
-    return pulses, _advance(eff, params, pulses)
+    return pulses, _advance(eff, params, pulses, pair)
 
 
 def _fold_levels(pair: FoldPair, params: ModelParams
@@ -269,6 +323,13 @@ def fold_pulse(eff: QuditState, pair: FoldPair, opts: CompileOptions,
     Returns the emitted pulses and the advanced effective state.
     """
     params = params or ModelParams(eff.N)
+    emitted, vec = _fold(eff.amplitudes, pair, opts, params)
+    return emitted, (QuditState(vec) if emitted else eff)
+
+
+def _fold(eff: np.ndarray, pair: FoldPair, opts: CompileOptions,
+          params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
+    """fold_pulse on a normalized amplitude vector."""
     if pair.q > params.N - 1:
         raise ValueError(f"fold level q={pair.q} out of range for N={params.N}")
     target, other, delta = _fold_levels(pair, params)
@@ -276,8 +337,8 @@ def fold_pulse(eff: QuditState, pair: FoldPair, opts: CompileOptions,
                                f"fold({_sgn(pair.s)},q={pair.q})", opts, params)
 
 
-def _g0_pulses(eff: QuditState, s: int, opts: CompileOptions,
-               params: ModelParams) -> tuple[tuple[PulseParams, ...], QuditState]:
+def _g0_pulses(eff: np.ndarray, s: int, opts: CompileOptions,
+               params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
     """Rotation in {|s,1>, |g,0>} moving the pair's population onto |g,0>."""
     target = DressedIndex.ground()
     other = DressedIndex.branch(s, 1)
@@ -305,17 +366,16 @@ def _doublet_senses() -> tuple[int, int]:
     return senses[0], senses[1]
 
 
-def _doublet_pulses(eff: QuditState, params: ModelParams
-                    ) -> tuple[tuple[PulseParams, ...], QuditState]:
+def _doublet_pulses(eff: np.ndarray, params: ModelParams
+                    ) -> tuple[tuple[PulseParams, ...], np.ndarray]:
     """Bare-pulse rotation of the q=1 doublet onto |-,1>.
 
     A phi_1r = pi pulse precesses the doublet about z, a phi_1r = pi/2 pulse
     about y; the azimuth is first brought to 0 or pi (whichever gives the
     shorter total duration), then the polar angle to 0.
     """
-    target = DressedIndex.branch(-1, 1)
-    other = DressedIndex.branch(+1, 1)
-    u, weight = bloch_vector(eff, (target, other))
+    u, weight = _pair_bloch(eff, DressedIndex.branch(-1, 1).position(),
+                            DressedIndex.branch(+1, 1).position())
     if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
         return (), eff
     sense_z, sense_y = _doublet_senses()
@@ -336,7 +396,7 @@ def _doublet_pulses(eff: QuditState, params: ModelParams
         pulses.append(PulseParams(ay / params.omega_1r, params.omega_1r,
                                   math.pi / 2, label="doublet:y"))
     emitted = tuple(pulses)
-    return emitted, _advance(eff, params, emitted)
+    return emitted, _advance(eff, params, emitted, None)
 
 
 def compile_full_control(target: QuditState, opts: CompileOptions,
@@ -356,11 +416,11 @@ def compile_full_control(target: QuditState, opts: CompileOptions,
         raise ValueError(f"unknown space {space!r}")
     if space == "Hprime" and abs(target.amplitudes[0]) > 1e-10:
         raise ContractViolation("target must carry no |g,0> amplitude in Hprime")
-    eff = target
+    eff = target.amplitudes
     pulses: list[PulseParams] = []
     for level in range(params.N, 1, -1):
         for s in (+1, -1):
-            emitted, eff = fold_pulse(eff, FoldPair(s, level - 1), opts, params)
+            emitted, eff = _fold(eff, FoldPair(s, level - 1), opts, params)
             pulses.extend(emitted)
     if space == "Hprime":
         emitted, eff = _doublet_pulses(eff, params)
@@ -371,7 +431,8 @@ def compile_full_control(target: QuditState, opts: CompileOptions,
             emitted, eff = _g0_pulses(eff, s, opts, params)
             pulses.extend(emitted)
         final_pos = 0
-    if abs(eff.amplitudes[final_pos]) ** 2 < 1.0 - 1e-9:
+    # the effective state's norm contract, checked once per pass
+    if abs(QuditState(eff).amplitudes[final_pos]) ** 2 < 1.0 - 1e-9:
         raise ContractViolation("full-control synthesis failed to concentrate the state")
     return PulseSchedule(params, tuple(pulses))
 
@@ -678,7 +739,7 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
     h1 = complex(control_element(params, omega_01, 0.5, *pair))
     return _ShapedFold(target, other, complex(control[pair]), h1,
                        tuple(p for p, _ in edge), flat, propagator(lambda H: H),
-                       propagator(lambda H: _effective(H, pair, light_shifts=True)))
+                       propagator(lambda H: _light_shifted(H, pair)))
 
 
 def _readout(target: QuditState, opts: CompileOptions,
@@ -696,8 +757,8 @@ def _readout(target: QuditState, opts: CompileOptions,
     for level in range(params.N, 1, -1):
         for s in (+1, -1):
             fold = _shaped_fold(params, omega_01, s, level - 1)
-            u, weight = bloch_vector(QuditState.from_vector(eff, normalize=True),
-                                     (fold.target, fold.other))
+            u, weight = _pair_bloch(eff / np.linalg.norm(eff),
+                                    fold.target.position(), fold.other.position())
             if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
                 continue
             phi_01, turn = _pair_axis(fold.h0, fold.h1, u)
@@ -710,10 +771,11 @@ def _readout(target: QuditState, opts: CompileOptions,
             eff = fold.effective(flat.phi_01, flat.T, eff)
             U = fold.full(flat.phi_01, flat.T, U)
             pulses.extend(emitted)
-    emitted, final = _doublet_pulses(QuditState.from_vector(eff, normalize=True), params)
+    emitted, final = _doublet_pulses(eff / np.linalg.norm(eff), params)
     pulses.extend(emitted)
     U = schedule_operator(PulseSchedule(params, emitted)) @ U
-    if abs(final.amplitudes[DressedIndex.branch(-1, 1).position()]) ** 2 < 1.0 - 1e-9:
+    final_pos = DressedIndex.branch(-1, 1).position()
+    if abs(QuditState(final).amplitudes[final_pos]) ** 2 < 1.0 - 1e-9:
         raise ContractViolation("readout synthesis failed to concentrate the state")
     return PulseSchedule(params, tuple(pulses)), U
 

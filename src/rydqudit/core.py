@@ -376,8 +376,13 @@ def bloch_vector(state: QuditState,
     up, down = pair
     if up == down:
         raise ValueError("bloch_vector requires two distinct levels")
-    a_up = state.amplitudes[up.position()]
-    a_down = state.amplitudes[down.position()]
+    return _pair_bloch(state.amplitudes, up.position(), down.position())
+
+
+def _pair_bloch(amplitudes: np.ndarray, up: int, down: int) -> tuple[np.ndarray, float]:
+    """bloch_vector of an amplitude vector, for the pair at positions (up, down)."""
+    a_up = amplitudes[up]
+    a_down = amplitudes[down]
     weight = float(abs(a_up) ** 2 + abs(a_down) ** 2)
     if weight == 0.0:
         return np.zeros(3), 0.0

@@ -489,3 +489,49 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
     assert res.stdout.startswith("Usage:")
+
+
+MALFORMED_SCHEDULES = {
+    "fractional-N": ({"N": 2.9}, "N must be a JSON integer"),
+    "bool-N": ({"N": True}, "N must be a JSON integer"),
+    "string-N": ({"N": "2"}, "N must be a JSON integer"),
+    "pulse-not-object": ({"pulses": [5]}, "pulse entry must be a JSON object"),
+    "pulses-not-array": ({"pulses": 5}, "pulses must be a JSON array"),
+    "string-field": ({"pulse": {"T": "1e3"}}, "pulse field T must be a JSON number"),
+    "bool-field": ({"pulse": {"omega_01": True}}, "pulse field omega_01 must be a JSON number"),
+    "null-field": ({"pulse": {"phi_01": None}}, "pulse field phi_01 must be a JSON number"),
+    "label-not-string": ({"pulse": {"label": 3}}, "pulse label must be a JSON string"),
+    "huge-integer-field": ({"pulse": {"T": 10 ** 400}}, "too large"),
+}
+
+
+def malformed_schedule(change):
+    doc = json.loads(schedule_to_json(sample_schedule()))
+    doc["pulses"][0].update(change.pop("pulse", {}))
+    doc.update(change)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("change,message", MALFORMED_SCHEDULES.values(),
+                         ids=MALFORMED_SCHEDULES.keys())
+def test_schedule_document_rejects_wrong_json_types(runner, tmp_path, change, message):
+    text = malformed_schedule(dict(change))
+    with pytest.raises(ValueError, match=message):
+        schedule_from_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    res = runner.invoke(main, ["simulate", str(path), "--report", str(tmp_path / "r.json")])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_schedule_document_accepts_integer_fields_and_no_label():
+    doc = json.loads(schedule_to_json(sample_schedule()))
+    doc["pulses"][0].update(T=3, delta_01=0)
+    del doc["pulses"][1]["label"]
+    schedule = schedule_from_json(json.dumps(doc))
+    assert schedule.pulses[0].T == 3.0 and type(schedule.pulses[0].T) is float
+    assert schedule.pulses[1].label == ""
+    with pytest.raises(ValueError, match="JSON object"):
+        schedule_from_json("[1, 2]")

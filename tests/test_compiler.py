@@ -14,9 +14,17 @@ from rydqudit.core import (
     ModelParams,
     PulseParams,
     QuditState,
+    build_total,
+    hadamard_target,
     wrap_phase,
 )
+from rydqudit import compiler
 from rydqudit.compiler import (
+    _bare_eigensystem,
+    _diagonal,
+    _fold_levels,
+    _invert_pulse,
+    _pair_hamiltonian,
     CompileOptions,
     FoldPair,
     compile_full_control,
@@ -24,6 +32,7 @@ from rydqudit.compiler import (
     compile_readout,
     compile_state_prep,
     compile_unitary,
+    effective_hamiltonian,
     effective_pair_for_label,
     fold_pulse,
     invert_full_control,
@@ -32,7 +41,7 @@ from rydqudit.compiler import (
     unitary_eigensystem,
 )
 from rydqudit.metrics import infidelity
-from rydqudit.propagator import PulseSchedule, extract_gate, schedule_operator
+from rydqudit.propagator import PulseSchedule, _evolve, extract_gate, schedule_operator
 
 OPTS = CompileOptions(omega_01=1e-3)
 MINUS1 = DressedIndex.branch(-1, 1)
@@ -367,3 +376,118 @@ def test_full_control_on_target_already_at_minus1():
     schedule = compile_full_control(
         QuditState.basis_state(2, MINUS1), OPTS)
     assert len(schedule) == 0
+
+
+# --- the direct effective advance against the label-driven build_total one ---
+
+def label_effective(params, pulse):
+    """The effective Hamiltonian as built from the label: build_total's
+    diagonal plus the labelled pair's elements, or all of it for a doublet."""
+    H = build_total(params, pulse)
+    pair = effective_pair_for_label(pulse.label, params.N)
+    if pair is None:
+        return H
+    Heff = np.diag(np.diag(H))
+    i, j = pair
+    Heff[i, j] = H[i, j]
+    Heff[j, i] = H[j, i]
+    return Heff
+
+
+def label_advance(vec, params, pulses, pair=None):
+    for p in pulses:
+        vec = _evolve(label_effective(params, p), p.T, vec)
+    return vec / np.linalg.norm(vec)
+
+
+def pair_rotations(params, seed):
+    """Every fold and g0rot pulse at N, as emitted and inverted, plain and
+    as tilde halves, at seeded phi_01 values: (pair, pulse) tuples."""
+    rng = np.random.default_rng((seed, params.N))
+    rotations = [(_fold_levels(FoldPair(s, q), params), f"fold({'+' if s > 0 else '-'},q={q})")
+                 for q in range(1, params.N) for s in (+1, -1)]
+    rotations += [((DressedIndex.ground(), DressedIndex.branch(s, 1), s * params.omega_1r / 2),
+                   f"g0rot({'+' if s > 0 else '-'})") for s in (+1, -1)]
+    w = params.omega_1r
+    for (target, other, delta), name in rotations:
+        pair = (target.position(), other.position())
+        head, _, tail = name.partition("(")
+        for ratio, phi in [(1e-3, 0.0), *((r, rng.uniform(-math.pi, math.pi))
+                                         for r in (1e-3, 1e-2, 1e-2))]:
+            T = rng.uniform(1.0, 1e4)
+            omega_01 = ratio * w
+            emitted = [
+                PulseParams(T, w, 0.0, omega_01, phi, delta, label=name),
+                PulseParams(T / 2, w, 0.0, omega_01, phi, delta, label=f"{head}~({tail}:a"),
+                PulseParams(T / 2, w, math.pi, omega_01, phi, -delta, label=f"{head}~({tail}:b"),
+                # a replayed document may drive another dressing amplitude
+                PulseParams(T, 0.5 * w, 0.0, omega_01, phi, delta, label=name),
+            ]
+            for p in emitted + [_invert_pulse(p) for p in emitted]:
+                yield pair, p
+
+
+@pytest.mark.parametrize("params", [ModelParams(2), ModelParams(3), ModelParams(9),
+                                    ModelParams(3, 2.5)], ids=["N2", "N3", "N9", "N3-w2.5"])
+def test_direct_assembly_matches_label_effective_bytes(params):
+    count = 0
+    for pair, pulse in pair_rotations(params, seed=31):
+        reference = label_effective(params, pulse).tobytes()
+        assert _pair_hamiltonian(params, pulse, pair).tobytes() == reference, pulse.label
+        assert effective_hamiltonian(params, pulse).tobytes() == reference, pulse.label
+        count += 1
+    assert count == 32 * (2 * (params.N - 1) + 2)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 9])
+@pytest.mark.parametrize("omega_1r", [1.0, 0.7])
+def test_cached_doublet_eigensystem_matches_fresh_eigh(N, omega_1r):
+    params = ModelParams(N, omega_1r)
+    for label, phi_1r in (("doublet:z", math.pi), ("doublet:y", math.pi / 2)):
+        for pulse in (PulseParams(2.0 / omega_1r, omega_1r, phi_1r, label=label),
+                      PulseParams(0.3, omega_1r, phi_1r + math.pi, label="inv:" + label)):
+            w, V = np.linalg.eigh(build_total(params, pulse))
+            cached = _bare_eigensystem(N, pulse.omega_1r, pulse.phi_1r)
+            assert cached[0].tobytes() == w.tobytes()
+            assert cached[1].tobytes() == V.tobytes()
+            assert not cached[0].flags.writeable and not cached[1].flags.writeable
+
+
+def _fields(schedule):
+    return [(p.label, *(getattr(p, name).hex() for name in
+                        ("T", "omega_1r", "phi_1r", "omega_01", "phi_01", "delta_01")))
+            for p in schedule.pulses]
+
+
+def _compile_cases(N, ratio, variant):
+    opts = CompileOptions(omega_01=ratio, fold_variant=variant)
+    target = random_qudit_state(N, 41)
+    return {
+        "prep": lambda: compile_state_prep(target, opts),
+        "phase": lambda: compile_phase_gate(target, -2.3, opts),
+        "readout": lambda: compile_readout(target, opts),
+    }
+
+
+@pytest.mark.parametrize("variant", ["plain", "tilde"])
+@pytest.mark.parametrize("ratio", [1e-3, 1e-2])
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_schedules_equal_the_label_driven_advance(N, ratio, variant, monkeypatch):
+    cases = _compile_cases(N, ratio, variant)
+    _diagonal.cache_clear()
+    _bare_eigensystem.cache_clear()
+    cold = {kind: _fields(make()) for kind, make in cases.items()}
+    warm = {kind: _fields(make()) for kind, make in cases.items()}
+    monkeypatch.setattr(compiler, "_advance", label_advance)
+    reference = {kind: _fields(make()) for kind, make in cases.items()}
+    assert cold == reference
+    assert warm == reference
+
+
+@pytest.mark.parametrize("variant", ["plain", "tilde"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_hadamard_equals_the_label_driven_advance(N, variant, monkeypatch):
+    opts = CompileOptions(omega_01=1e-2, fold_variant=variant)
+    direct = _fields(compile_unitary(hadamard_target(N), opts))
+    monkeypatch.setattr(compiler, "_advance", label_advance)
+    assert direct == _fields(compile_unitary(hadamard_target(N), opts))
