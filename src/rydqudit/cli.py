@@ -194,6 +194,8 @@ def parse_state(spec: str, N: int) -> QuditState:
     data = np.loadtxt(spec, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("state file must have two columns: real and imaginary parts")
+    if not np.isfinite(data).all():
+        raise ValueError("state file holds a non-finite amplitude")
     amp = data[:, 0] + 1j * data[:, 1]
     if amp.size == 2 * N:
         amp = np.concatenate([[0.0], amp])
@@ -203,16 +205,28 @@ def parse_state(spec: str, N: int) -> QuditState:
 
 
 def _phase_gate_target(target: QuditState, phi: float) -> np.ndarray:
+    if not math.isfinite(phi):
+        raise ValueError(f"--phi must be finite, got {phi!r}")
     tp = target.qudit_part()
     return (np.eye(2 * target.N, dtype=complex)
             + (np.exp(1j * phi) - 1.0) * np.outer(tp, tp.conj()))
 
 
 def _load_unitary(path: str) -> np.ndarray:
+    """Matrix of a JSON array of rows of [re, im] entries, bare or under "matrix"."""
     with open(path) as fh:
         doc = json.load(fh)
     rows = doc["matrix"] if isinstance(doc, dict) else doc
-    return np.array([[complex(c[0], c[1]) for c in row] for row in rows])
+    if type(rows) is not list or not all(type(row) is list for row in rows):
+        raise ValueError("a unitary must be a JSON array of rows")
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            # the bound fails for NaN, infinities and integers too large for a float
+            if not (type(c) is list and len(c) == 2 and _JSON_NUMBERS.issuperset(map(type, c))
+                    and all(abs(x) <= sys.float_info.max for x in c)):
+                raise ValueError(f"unitary entry [{i}][{j}] must be [re, im] "
+                                 f"of finite numbers, got {c!r}")
+    return np.array([[complex(*c) for c in row] for row in rows])
 
 
 def _exit_codes(fn):

@@ -44,6 +44,7 @@ from .core import (
     ModelParams,
     PulseParams,
     QuditState,
+    _diagonal,
     _pair_bloch,
     bloch_vector,
     build_control,
@@ -115,30 +116,41 @@ def _pos_angle(x: float) -> float:
     return 0.0 if r > TAU - 1e-12 else r
 
 
-def effective_pair_for_label(label: str, N: int) -> Optional[tuple[int, int]]:
-    """Resonant (target, other) canonical positions encoded in a pulse label.
+def _pulse_kind(label: str, N: int) -> tuple[Optional[tuple[int, int]], str]:
+    """Resonant (target, other) canonical positions and kind of a pulse label.
 
-    Returns None for bare doublet pulses, whose effective model is the full
-    Hamiltonian itself.  Unrecognized labels raise.
+    The kind is "rotation" (a whole fold or ground rotation), "half" (a
+    phase-cancelling half, "~" in the label), "shaped" (a readout fold step),
+    "phase" (a phase-gate pulse) or "bare" (a doublet pulse, whose effective
+    model is the full Hamiltonian itself, so its pair is None).  An "inv:"
+    prefix does not change either.  Unrecognized labels raise.
     """
     base = label[4:] if label.startswith("inv:") else label
+    if base in _PHASE_LABELS:
+        return (DressedIndex.branch(-1, 1).position(), 0), "phase"
+    if base in _DOUBLET_LABELS:
+        return None, "bare"
     m = _FOLD_RE.fullmatch(base)
     if m is not None:
         s = _SIGNS[m.group(2)]
         q = int(m.group(3))
         if not 1 <= q <= N - 1:
             raise ValueError(f"fold level q={q} out of range for N={N}")
-        return (DressedIndex.branch(-s, q).position(),
+        pair = (DressedIndex.branch(-s, q).position(),
                 DressedIndex.branch(s, q + 1).position())
-    m = _G0_RE.fullmatch(base)
-    if m is not None:
-        s = _SIGNS[m.group(2)]
-        return (0, DressedIndex.branch(s, 1).position())
-    if base in _PHASE_LABELS:
-        return (DressedIndex.branch(-1, 1).position(), 0)
-    if base in _DOUBLET_LABELS:
-        return None
-    raise ValueError(f"pulse label {label!r} does not identify a resonant pair")
+    else:
+        m = _G0_RE.fullmatch(base)
+        if m is None:
+            raise ValueError(f"pulse label {label!r} does not identify a resonant pair")
+        pair = (0, DressedIndex.branch(_SIGNS[m.group(2)], 1).position())
+    if base.endswith(_SHAPED):
+        return pair, "shaped"
+    return pair, "half" if m.group(1) == "~" else "rotation"
+
+
+def effective_pair_for_label(label: str, N: int) -> Optional[tuple[int, int]]:
+    """Resonant (target, other) canonical positions of a pulse label, as _pulse_kind."""
+    return _pulse_kind(label, N)[0]
 
 
 def _light_shifts(H: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
@@ -163,10 +175,10 @@ def effective_hamiltonian(params: ModelParams, pulse: PulseParams) -> np.ndarray
     Shaped readout pulses (label suffix ":shaped") also carry the light
     shifts of their off-resonant couplings on the diagonal.
     """
-    pair = effective_pair_for_label(pulse.label, params.N)
+    pair, kind = _pulse_kind(pulse.label, params.N)
     if pair is None:
         return build_total(params, pulse)
-    if pulse.label.endswith(_SHAPED):
+    if kind == "shaped":
         return _light_shifted(build_total(params, pulse), pair)
     return _pair_hamiltonian(params, pulse, pair)
 
@@ -179,15 +191,6 @@ def _light_shifted(H: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     Heff[i, j] = H[i, j]
     Heff[j, i] = H[j, i]
     return Heff
-
-
-@lru_cache(maxsize=256)
-def _diagonal(N: int, omega_1r: float, phi_1r: float, delta_01: float) -> np.ndarray:
-    """build_total's diagonal, which neither omega_01 nor phi_01 enters (read-only)."""
-    d = np.diag(build_total(ModelParams(N), PulseParams(1.0, omega_1r, phi_1r, 0.0, 0.0,
-                                                       delta_01))).copy()
-    d.flags.writeable = False
-    return d
 
 
 def _pair_hamiltonian(params: ModelParams, pulse: PulseParams,
@@ -314,22 +317,14 @@ def _fold_levels(pair: FoldPair, params: ModelParams
     return target, other, delta
 
 
-def fold_pulse(eff: QuditState, pair: FoldPair, opts: CompileOptions,
-               params: Optional[ModelParams] = None
-               ) -> tuple[tuple[PulseParams, ...], QuditState]:
+def _fold(eff: np.ndarray, pair: FoldPair, opts: CompileOptions,
+          params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
     """One fold: transfer the pair {|s,q+1>, |sbar,q>} onto |sbar,q>.
 
     Emits nothing when the pair carries no weight or is already folded.
-    Returns the emitted pulses and the advanced effective state.
+    Takes and returns a normalized amplitude vector: the emitted pulses and
+    the advanced effective state.
     """
-    params = params or ModelParams(eff.N)
-    emitted, vec = _fold(eff.amplitudes, pair, opts, params)
-    return emitted, (QuditState(vec) if emitted else eff)
-
-
-def _fold(eff: np.ndarray, pair: FoldPair, opts: CompileOptions,
-          params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
-    """fold_pulse on a normalized amplitude vector."""
     if pair.q > params.N - 1:
         raise ValueError(f"fold level q={pair.q} out of range for N={params.N}")
     target, other, delta = _fold_levels(pair, params)
@@ -400,8 +395,7 @@ def _doublet_pulses(eff: np.ndarray, params: ModelParams
 
 
 def compile_full_control(target: QuditState, opts: CompileOptions,
-                         space: str = "Hprime",
-                         params: Optional[ModelParams] = None) -> PulseSchedule:
+                         space: str = "Hprime") -> PulseSchedule:
     """Schedule mapping the target state to |-,1> (Hprime) or |g,0> (Hfull).
 
     Folds run outward-in: for each level from N down to 2, both sign pairs
@@ -409,9 +403,7 @@ def compile_full_control(target: QuditState, opts: CompileOptions,
     |-,1> by bare pulses, or, for Hfull, both q=1 levels are rotated onto
     |g,0> through the control laser.
     """
-    params = params or ModelParams(target.N)
-    if params.N != target.N:
-        raise ValueError("target state dimension does not match the model")
+    params = ModelParams(target.N)
     if space not in ("Hprime", "Hfull"):
         raise ValueError(f"unknown space {space!r}")
     if space == "Hprime" and abs(target.amplitudes[0]) > 1e-10:
@@ -437,24 +429,18 @@ def compile_full_control(target: QuditState, opts: CompileOptions,
     return PulseSchedule(params, tuple(pulses))
 
 
-def _invert_pulse(p: PulseParams) -> PulseParams:
-    label = p.label
-    if label.startswith("inv:"):
-        base = new_label = label[4:]
-    else:
-        base, new_label = label, "inv:" + label
-    m = _FOLD_RE.fullmatch(base) or _G0_RE.fullmatch(base)
-    if m is not None:
-        if m.group(1) == "~":
-            # phase-cancelling halves already carry the sign bookkeeping
-            return PulseParams(p.T, p.omega_1r, p.phi_1r, p.omega_01,
-                               p.phi_01 + math.pi, p.delta_01, new_label)
-        return PulseParams(p.T, p.omega_1r, p.phi_1r + math.pi, p.omega_01,
-                           p.phi_01 + math.pi, -p.delta_01, new_label)
-    if base in _DOUBLET_LABELS:
-        return PulseParams(p.T, p.omega_1r, p.phi_1r + math.pi, p.omega_01,
-                           p.phi_01, p.delta_01, new_label)
-    raise ValueError(f"cannot invert pulse with label {label!r}")
+def _invert_pulse(p: PulseParams, N: int) -> PulseParams:
+    _, kind = _pulse_kind(p.label, N)
+    if kind == "phase":
+        raise ValueError(f"cannot invert pulse with label {p.label!r}")
+    # whole rotations flip the dressing phase, the control axis and the
+    # detuning; phase-cancelling halves, which already carry the sign
+    # bookkeeping, flip the control axis only; bare pulses the dressing phase
+    phi_1r = p.phi_1r if kind == "half" else p.phi_1r + math.pi
+    phi_01 = p.phi_01 if kind == "bare" else p.phi_01 + math.pi
+    delta_01 = -p.delta_01 if kind in ("rotation", "shaped") else p.delta_01
+    label = p.label[4:] if p.label.startswith("inv:") else "inv:" + p.label
+    return PulseParams(p.T, p.omega_1r, phi_1r, p.omega_01, phi_01, delta_01, label)
 
 
 def invert_full_control(schedule: PulseSchedule) -> PulseSchedule:
@@ -465,12 +451,13 @@ def invert_full_control(schedule: PulseSchedule) -> PulseSchedule:
     phase-cancelling halves); bare doublet pulses get phi_1r + pi.  The map
     is an involution.
     """
+    N = schedule.params.N
     return PulseSchedule(schedule.params,
-                         tuple(_invert_pulse(p) for p in reversed(schedule.pulses)))
+                         tuple(_invert_pulse(p, N) for p in reversed(schedule.pulses)))
 
 
 def _phase_pulses(x: float, omega_01: float, params: ModelParams) -> PulseSchedule:
-    """The two-pulse block of compile_phase_on_minus1, first control phase x."""
+    """The two-pulse phase block on |-,1>, first control phase x."""
     T = math.sqrt(2) * math.pi / (math.sqrt(params.N) * omega_01)
     return PulseSchedule(params, (
         PulseParams(T, params.omega_1r, 0.0, omega_01, x,
@@ -484,16 +471,18 @@ def _phase_pulses(x: float, omega_01: float, params: ModelParams) -> PulseSchedu
 def _phase_calibration() -> tuple[int, float]:
     """Sense and offset of the realized phase: chi = sense * phi_01 + offset.
 
-    Calibrated once by replaying the two-pulse block on |-,1> under the
-    effective model; the result depends only on the fixed conventions, not
-    on N or the amplitudes.
+    Calibrated once by advancing |-,1> through the two-pulse block under the
+    effective model, resonant on the pair (|-,1>, |g,0>); the result depends
+    only on the fixed conventions, not on N or the amplitudes.
     """
+    params = ModelParams(2)
     minus1 = DressedIndex.branch(-1, 1)
+    start = QuditState.basis_state(2, minus1).amplitudes
+    pair = (minus1.position(), 0)
 
     def realized(x: float) -> float:
-        out = replay_effective(QuditState.basis_state(2, minus1),
-                               _phase_pulses(x, 0.05, ModelParams(2)))
-        amp = out.amplitudes[minus1.position()]
+        out = _advance(start, params, _phase_pulses(x, 0.05, params).pulses, pair)
+        amp = out[minus1.position()]
         if abs(abs(amp) - 1.0) > 1e-9:
             raise ContractViolation("phase-pulse calibration left the state")
         return cmath.phase(amp)
@@ -512,25 +501,20 @@ def _phase_calibration() -> tuple[int, float]:
     return sense, offset
 
 
-def compile_phase_on_minus1(Phi: float, opts: CompileOptions,
-                            params: ModelParams) -> PulseSchedule:
-    """Two pi-rotations through |g,0> imprinting e^{i Phi} on |-,1> alone.
+def compile_phase_gate(target: QuditState, Phi: float, opts: CompileOptions) -> PulseSchedule:
+    """Generalized phase gate e^{i Phi}|target><target| + (1 - |target><target|).
 
-    Both pulses share the duration sqrt(2)*pi/(sqrt(N)*Omega_01); their
-    spectator phases cancel pairwise, and the control phase of the first
-    pulse encodes Phi through the calibrated affine response.
+    Full control carries the target onto |-,1>; two pi-rotations through
+    |g,0>, both of duration sqrt(2)*pi/(sqrt(N)*Omega_01), imprint e^{i Phi}
+    on |-,1> alone, their spectator phases cancelling pairwise and the first
+    pulse's control phase encoding Phi through the calibrated affine
+    response; the inverted full control then undoes the first step.
     """
+    forward = compile_full_control(target, opts, "Hprime")
+    params = forward.params
     sense, offset = _phase_calibration()
-    x = wrap_phase(sense * (Phi - offset))
-    return _phase_pulses(x, opts.omega_01 * params.omega_1r, params)
-
-
-def compile_phase_gate(target: QuditState, Phi: float, opts: CompileOptions,
-                       params: Optional[ModelParams] = None) -> PulseSchedule:
-    """Generalized phase gate e^{i Phi}|target><target| + (1 - |target><target|)."""
-    params = params or ModelParams(target.N)
-    forward = compile_full_control(target, opts, "Hprime", params)
-    middle = compile_phase_on_minus1(Phi, opts, params)
+    middle = _phase_pulses(wrap_phase(sense * (Phi - offset)),
+                           opts.omega_01 * params.omega_1r, params)
     return forward.concat(middle).concat(invert_full_control(forward))
 
 
@@ -564,8 +548,7 @@ def unitary_eigensystem(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, V
 
 
-def compile_unitary(U: np.ndarray, opts: CompileOptions,
-                    params: Optional[ModelParams] = None) -> PulseSchedule:
+def compile_unitary(U: np.ndarray, opts: CompileOptions) -> PulseSchedule:
     """Compile an arbitrary 2N x 2N qudit unitary as a product of phase gates.
 
     U is eigendecomposed deterministically and one generalized phase gate is
@@ -576,28 +559,23 @@ def compile_unitary(U: np.ndarray, opts: CompileOptions,
     if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] % 2 or U.shape[0] < 2:
         raise ValueError(f"expected a 2N x 2N matrix, got shape {U.shape}")
     N = U.shape[0] // 2
-    params = params or ModelParams(N)
-    if params.N != N:
-        raise ValueError("unitary dimension does not match the model")
     phases, vectors = unitary_eigensystem(U)
-    schedule = PulseSchedule(params)
+    schedule = PulseSchedule(ModelParams(N))
     for alpha, v in zip(phases, vectors.T):
         if opts.skip_zero_phases and abs(wrap_phase(alpha)) < _ZERO_PHASE_EPS:
             continue
         amp = np.zeros(2 * N + 1, dtype=complex)
         amp[1:] = v
         state = QuditState.from_vector(amp, normalize=True)
-        schedule = schedule.concat(compile_phase_gate(state, float(alpha), opts, params))
+        schedule = schedule.concat(compile_phase_gate(state, float(alpha), opts))
     return schedule
 
 
-def compile_state_prep(target: QuditState, opts: CompileOptions,
-                       params: Optional[ModelParams] = None) -> PulseSchedule:
+def compile_state_prep(target: QuditState, opts: CompileOptions) -> PulseSchedule:
     """Schedule preparing the target qudit state from |g,0>."""
-    params = params or ModelParams(target.N)
     if abs(target.amplitudes[0]) > 1e-10:
         raise ContractViolation("state-prep target must carry no |g,0> amplitude")
-    return invert_full_control(compile_full_control(target, opts, "Hfull", params))
+    return invert_full_control(compile_full_control(target, opts, "Hfull"))
 
 
 # --- readout: folds with smoothed edges -----------------------------------
@@ -742,12 +720,9 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
                        propagator(lambda H: _light_shifted(H, pair)))
 
 
-def _readout(target: QuditState, opts: CompileOptions,
-             params: Optional[ModelParams]) -> tuple[PulseSchedule, np.ndarray]:
+def _readout(target: QuditState, opts: CompileOptions) -> tuple[PulseSchedule, np.ndarray]:
     """Readout schedule of the target and its realized evolution operator."""
-    params = params or ModelParams(target.N)
-    if params.N != target.N:
-        raise ValueError("target state dimension does not match the model")
+    params = ModelParams(target.N)
     if abs(target.amplitudes[0]) > 1e-10:
         raise ContractViolation("readout target must carry no |g,0> amplitude")
     omega_01 = opts.omega_01 * params.omega_1r
@@ -780,8 +755,7 @@ def _readout(target: QuditState, opts: CompileOptions,
     return PulseSchedule(params, tuple(pulses)), U
 
 
-def compile_readout(target: QuditState, opts: CompileOptions,
-                    params: Optional[ModelParams] = None) -> PulseSchedule:
+def compile_readout(target: QuditState, opts: CompileOptions) -> PulseSchedule:
     """Schedule carrying the target onto |-,1> for a projective measurement.
 
     The folds of compile_full_control (Hprime), each with its control
@@ -791,11 +765,11 @@ def compile_readout(target: QuditState, opts: CompileOptions,
     the tracked effective state carries those shifts.  Folds are always
     plain; fold_variant is ignored.
     """
-    return _readout(target, opts, params)[0]
+    return _readout(target, opts)[0]
 
 
-def measure_projection(state: QuditState, target: QuditState, opts: CompileOptions,
-                       params: Optional[ModelParams] = None) -> float:
+def measure_projection(state: QuditState, target: QuditState,
+                       opts: CompileOptions) -> float:
     """Projective-measurement probability |<target|state>|^2 via simulation.
 
     Applies the readout schedule of the target (compile_readout), which
@@ -806,6 +780,6 @@ def measure_projection(state: QuditState, target: QuditState, opts: CompileOptio
     """
     if state.N != target.N:
         raise ValueError("state and target dimensions differ")
-    _, U = _readout(target, opts, params)
+    _, U = _readout(target, opts)
     final = U @ state.amplitudes
     return float(abs(final[DressedIndex.branch(-1, 1).position()]) ** 2)

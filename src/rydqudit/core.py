@@ -32,7 +32,9 @@ class ContractViolation(ValueError):
 
 
 def wrap_phase(x: float) -> float:
-    """Normalize an angle to the interval (-pi, pi]."""
+    """Normalize an angle to the interval (-pi, pi]; NaN and +-inf raise ValueError."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot wrap the non-finite angle {x!r}")
     r = math.remainder(float(x), TAU)
     return r if r > -math.pi else math.pi
 
@@ -148,7 +150,7 @@ class QuditState:
         if amp.ndim != 1 or amp.size < 3 or amp.size % 2 == 0:
             raise ValueError(f"amplitude vector must have odd length 2N+1 >= 3, got shape {amp.shape}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:     # so that a NaN norm fails too
             raise ContractViolation(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -365,6 +367,15 @@ def build_total(params: ModelParams, pulse: PulseParams) -> np.ndarray:
     return bare + build_control(params, pulse.omega_01, pulse.phi_01, pulse.delta_01)
 
 
+@lru_cache(maxsize=256)
+def _diagonal(N: int, omega_1r: float, phi_1r: float, delta_01: float) -> np.ndarray:
+    """build_total's diagonal, which neither omega_01 nor phi_01 enters (read-only)."""
+    d = np.diag(build_total(ModelParams(N), PulseParams(1.0, omega_1r, phi_1r, 0.0, 0.0,
+                                                       delta_01))).copy()
+    d.flags.writeable = False
+    return d
+
+
 def bloch_vector(state: QuditState,
                  pair: tuple[DressedIndex, DressedIndex]) -> tuple[np.ndarray, float]:
     """Bloch coordinates of the state projected onto a two-level subspace.
@@ -427,6 +438,6 @@ def require_unitary(U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     dev = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
-    if dev > tol:
+    if not dev <= tol:     # so that a NaN deviation fails too
         raise ContractViolation(f"matrix deviates from unitarity by {dev:.3e}")
     return U

@@ -25,6 +25,7 @@ from .core import (
     ModelParams,
     PulseParams,
     QuditState,
+    _diagonal,
     build_total,
     level_ordering,
 )
@@ -265,15 +266,11 @@ def interaction_frame(trajectory: Trajectory, schedule: PulseSchedule) -> Trajec
         raise ValueError("trajectory does not match the schedule's pulse boundaries")
     framed = trajectory.states.copy()
     acc = np.zeros(schedule.params.dim)
-    # the diagonal of build_total depends on neither omega_01 nor phi_01
-    diagonals: dict[tuple[float, float, float], np.ndarray] = {}
     sample = 1
     t_start = 0.0
     for k, pulse in enumerate(schedule.pulses):
-        key = (pulse.omega_1r, pulse.phi_1r, pulse.delta_01)
-        if key not in diagonals:
-            diagonals[key] = np.real(np.diag(build_total(schedule.params, pulse)))
-        diag = diagonals[key]
+        diag = np.real(_diagonal(schedule.params.N, pulse.omega_1r, pulse.phi_1r,
+                                 pulse.delta_01))
         end = trajectory.boundary_indices[k + 1] + 1
         dt = trajectory.times[sample:end] - t_start
         framed[sample:end] *= np.exp(1j * (acc + np.multiply.outer(dt, diag)))

@@ -253,6 +253,62 @@ def test_exit_code_numeric_failure(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("row", ["nan 0", "inf 0", "0 -inf"])
+def test_state_files_reject_non_finite_amplitudes(runner, tmp_path, row):
+    path = tmp_path / "state.txt"
+    path.write_text(row + "\n1 0\n0 0\n0 0\n0 0\n")     # N=2, 2N+1 rows
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_state(str(path), 2)
+    sched_path = tmp_path / "s.json"
+    res = runner.invoke(main, ["compile", "--gate", "prep", "-N", "2", "--ratio", "1e-2",
+                               "--target", str(path), "-o", str(sched_path)])
+    assert res.exit_code == 2, res.output
+    assert not sched_path.exists()
+    sched_path.write_text(schedule_to_json(sample_schedule()))
+    report, traj = tmp_path / "r.json", tmp_path / "t.csv"
+    res = runner.invoke(main, ["simulate", str(sched_path), "--initial", str(path),
+                               "--trajectory", str(traj), "--report", str(report)])
+    assert res.exit_code == 2, res.output
+    assert not report.exists() and not traj.exists()
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_phi_must_be_finite(runner, tmp_path, phi):
+    sched_path = tmp_path / "s.json"
+    res = runner.invoke(main, ["compile", "--gate", "phase", "-N", "2", "--ratio", "1e-2",
+                               "--phi", phi, "-o", str(sched_path)])
+    assert res.exit_code == 2, res.output
+    assert phi in res.output and not sched_path.exists()
+    sched_path.write_text(schedule_to_json(sample_schedule()))
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, ["simulate", str(sched_path), "--expect", "phase",
+                               "--phi", phi, "--report", str(report)])
+    assert res.exit_code == 2, res.output
+    assert "--phi" in res.output and not report.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[[1, 0], [0, 1]]", "entry [0][0]"),
+    ("[[[1, 0], [0, 0]], [[0, 0], [1]]]", "entry [1][1]"),
+    ('{"matrix": 5}', "array of rows"),
+    ("[[[1, 0], [0, 0]], 7]", "array of rows"),
+    ("[[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]", "entry [1][1]"),
+    ("[[[1, 0], [0, 0]], [[0, 0], [0, Infinity]]]", "entry [1][1]"),
+    ("[[[1, 0], [0, 0]], [[0, 0], [1" + "0" * 400 + ", 0]]]", "entry [1][1]"),
+    ('[[[1, 0], [0, 0]], [[0, 0], [true, 0]]]', "entry [1][1]"),
+], ids=["bare-numbers", "short-entry", "matrix-not-array", "row-not-array", "nan",
+        "infinity", "huge-integer", "bool"])
+def test_compile_rejects_malformed_unitary_files(runner, tmp_path, text, message):
+    mat_path = tmp_path / "u.json"
+    mat_path.write_text(text)
+    out = tmp_path / "s.json"
+    res = runner.invoke(main, ["compile", "--gate", "unitary", "-N", "1", "--ratio", "1e-2",
+                               "--unitary", str(mat_path), "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not out.exists()
+
+
 def test_scan_command_and_jobs_determinism(runner, tmp_path):
     base = ["scan", "--kind", "phase", "-N", "2", "-N", "3", "--ratio", "1e-2",
             "--ratio", "2e-2", "--gamma-r", "1e-6"]

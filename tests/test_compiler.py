@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from rydqudit.core import (
+    _diagonal,
     ContractViolation,
     DressedIndex,
     ModelParams,
@@ -21,7 +22,7 @@ from rydqudit.core import (
 from rydqudit import compiler
 from rydqudit.compiler import (
     _bare_eigensystem,
-    _diagonal,
+    _fold,
     _fold_levels,
     _invert_pulse,
     _pair_hamiltonian,
@@ -34,7 +35,6 @@ from rydqudit.compiler import (
     compile_unitary,
     effective_hamiltonian,
     effective_pair_for_label,
-    fold_pulse,
     invert_full_control,
     measure_projection,
     replay_effective,
@@ -62,12 +62,12 @@ def random_qudit_state(N, seed, ground=0.0):
 
 def test_fold_resonance_oracle():
     state = random_qudit_state(2, 0)
-    pulses, _ = fold_pulse(state, FoldPair(+1, 1), OPTS)
+    pulses, _ = _fold(state.amplitudes, FoldPair(+1, 1), OPTS, ModelParams(2))
     assert len(pulses) == 1
     assert pulses[0].delta_01 == pytest.approx(FOLD_DELTA_PLUS_Q1, abs=1e-12)
     assert pulses[0].label == "fold(+,q=1)"
     state3 = random_qudit_state(3, 0)
-    pulses, _ = fold_pulse(state3, FoldPair(-1, 2), OPTS)
+    pulses, _ = _fold(state3.amplitudes, FoldPair(-1, 2), OPTS, ModelParams(3))
     assert pulses[0].delta_01 == pytest.approx(FOLD_DELTA_MINUS_Q2, abs=1e-12)
 
 
@@ -124,7 +124,8 @@ def test_fold_stage_monotonicity(seed):
     eff = random_qudit_state(N, seed)
     for level in range(N, 1, -1):
         for s in (+1, -1):
-            _, eff = fold_pulse(eff, FoldPair(s, level - 1), OPTS)
+            _, vec = _fold(eff.amplitudes, FoldPair(s, level - 1), OPTS, ModelParams(N))
+            eff = QuditState(vec)
     doublet = {MINUS1.position(), DressedIndex.branch(+1, 1).position()}
     for pos in range(2 * N + 1):
         if pos not in doublet:
@@ -185,6 +186,44 @@ def test_inversion_labels_and_unknown_label():
     bad = PulseSchedule(ModelParams(3), (PulseParams(1.0, label="mystery"),))
     with pytest.raises(ValueError):
         invert_full_control(bad)
+    bad = PulseSchedule(ModelParams(3), (PulseParams(1.0, label="inv:phase:a"),))
+    with pytest.raises(ValueError):
+        invert_full_control(bad)
+
+
+# each pulse kind's inversion rule: (phi_1r, phi_01, delta_01) before wrapping
+INVERSION_RULES = {
+    "rotation": lambda p: (p.phi_1r + math.pi, p.phi_01 + math.pi, -p.delta_01),
+    "half": lambda p: (p.phi_1r, p.phi_01 + math.pi, p.delta_01),
+    "bare": lambda p: (p.phi_1r + math.pi, p.phi_01, p.delta_01),
+}
+
+
+@pytest.mark.parametrize("label,rule", [
+    ("fold(-,q=2)", "rotation"),
+    ("g0rot(+)", "rotation"),
+    ("fold~(+,q=1):a", "half"),
+    ("g0rot~(-):b", "half"),
+    ("fold(+,q=2):shaped", "rotation"),
+    ("doublet:z", "bare"),
+    ("doublet:y", "bare"),
+    ("inv:fold~(-,q=1):b", "half"),
+])
+def test_inversion_rule_of_each_pulse_kind(label, rule):
+    p = PulseParams(123.25, 0.75, -2.5, 1.5e-2, 0.875, -1.3125, label)
+    inverse = _invert_pulse(p, 3)
+    phi_1r, phi_01, delta_01 = INVERSION_RULES[rule](p)
+    assert inverse.label == (label[4:] if label.startswith("inv:") else "inv:" + label)
+    assert [getattr(inverse, name).hex() for name in ("T", "omega_1r", "omega_01")] == [
+        p.T.hex(), p.omega_1r.hex(), p.omega_01.hex()]
+    assert [inverse.phi_1r.hex(), inverse.phi_01.hex(), inverse.delta_01.hex()] == [
+        wrap_phase(phi_1r).hex(), wrap_phase(phi_01).hex(), delta_01.hex()]
+
+
+@pytest.mark.parametrize("label", ["phase:b", "fold(+,q=3)", "g0rot(?)"])
+def test_inversion_rejects_phase_and_out_of_range_labels(label):
+    with pytest.raises(ValueError):
+        _invert_pulse(PulseParams(1.0, label=label), 3)
 
 
 def test_inverted_o_composes_to_identity_full_simulation():
@@ -423,7 +462,7 @@ def pair_rotations(params, seed):
                 # a replayed document may drive another dressing amplitude
                 PulseParams(T, 0.5 * w, 0.0, omega_01, phi, delta, label=name),
             ]
-            for p in emitted + [_invert_pulse(p) for p in emitted]:
+            for p in emitted + [_invert_pulse(p, params.N) for p in emitted]:
                 yield pair, p
 
 

@@ -226,6 +226,19 @@ def test_require_unitary_rejects():
         require_unitary(np.array([[1.0, 0.0], [0.1, 1.0]]))
 
 
+def test_numeric_contracts_reject_nan():
+    with pytest.raises(ContractViolation):
+        QuditState(np.array([math.nan, 1.0, 0.0]))
+    with pytest.raises(ContractViolation):
+        require_unitary(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_wrap_phase_rejects_nan_and_infinities():
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            wrap_phase(x)
+
+
 @given(N=ns, phi1=phases, phi2=phases, delta=phases)
 def test_build_total_is_sum_of_parts(N, phi1, phi2, delta):
     params = ModelParams(N)
