@@ -36,7 +36,6 @@ from .propagator import (
 )
 from .compiler import (
     CompileOptions,
-    FoldPair,
     compile_full_control,
     compile_phase_gate,
     compile_readout,
@@ -96,7 +95,6 @@ __all__ = [
     "run_schedule",
     "schedule_operator",
     "CompileOptions",
-    "FoldPair",
     "compile_full_control",
     "compile_phase_gate",
     "compile_readout",

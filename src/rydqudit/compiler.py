@@ -40,13 +40,12 @@ import numpy as np
 from .core import (
     TAU,
     ContractViolation,
-    DressedIndex,
     ModelParams,
     PulseParams,
     QuditState,
     _diagonal,
     _pair_bloch,
-    bloch_vector,
+    _position,
     build_control,
     build_total,
     control_element,
@@ -70,25 +69,16 @@ _G0_RE = re.compile(r"g0rot(~?)\(([+-])\)(:[ab])?")
 _DOUBLET_LABELS = {"doublet:z", "doublet:y"}
 _PHASE_LABELS = {"phase:a", "phase:b"}
 
+# canonical positions of |-,1>, where full control and the readout leave the
+# target, and of |+,1>
+_MINUS1 = _position(-1, 1)
+_PLUS1 = _position(+1, 1)
+
 # skip thresholds: residual population left by a skipped pulse is < 1e-12
 _WEIGHT_EPS = 1e-12
 _POLE_EPS = 1e-12
 # compile_unitary's skip_zero_phases omits eigenphases below this
 _ZERO_PHASE_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class FoldPair:
-    """The two-level subspace {|s,q+1>, |sbar,q>} with sbar the opposite sign."""
-
-    s: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.s not in (-1, 1):
-            raise ValueError(f"fold sign must be +1 or -1, got {self.s}")
-        if self.q < 1:
-            raise ValueError(f"fold level must satisfy q >= 1, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +117,7 @@ def _pulse_kind(label: str, N: int) -> tuple[Optional[tuple[int, int]], str]:
     """
     base = label[4:] if label.startswith("inv:") else label
     if base in _PHASE_LABELS:
-        return (DressedIndex.branch(-1, 1).position(), 0), "phase"
+        return (_MINUS1, 0), "phase"
     if base in _DOUBLET_LABELS:
         return None, "bare"
     m = _FOLD_RE.fullmatch(base)
@@ -136,21 +126,15 @@ def _pulse_kind(label: str, N: int) -> tuple[Optional[tuple[int, int]], str]:
         q = int(m.group(3))
         if not 1 <= q <= N - 1:
             raise ValueError(f"fold level q={q} out of range for N={N}")
-        pair = (DressedIndex.branch(-s, q).position(),
-                DressedIndex.branch(s, q + 1).position())
+        pair = (_position(-s, q), _position(s, q + 1))
     else:
         m = _G0_RE.fullmatch(base)
         if m is None:
             raise ValueError(f"pulse label {label!r} does not identify a resonant pair")
-        pair = (0, DressedIndex.branch(_SIGNS[m.group(2)], 1).position())
+        pair = (0, _position(_SIGNS[m.group(2)], 1))
     if base.endswith(_SHAPED):
         return pair, "shaped"
     return pair, "half" if m.group(1) == "~" else "rotation"
-
-
-def effective_pair_for_label(label: str, N: int) -> Optional[tuple[int, int]]:
-    """Resonant (target, other) canonical positions of a pulse label, as _pulse_kind."""
-    return _pulse_kind(label, N)[0]
 
 
 def _light_shifts(H: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
@@ -213,10 +197,9 @@ def _advance(vec: np.ndarray, params: ModelParams, pulses: tuple[PulseParams, ..
     """Carry an effective state through pulses that are all resonant on pair.
 
     pair holds the (target, other) positions of the emitting rotation, the
-    pair effective_pair_for_label reads from the pulses' labels, or None for
-    bare doublet pulses, whose eigensystem is cached per key.  So each step
-    is bit for bit the evolution under effective_hamiltonian.  Returns the
-    normalized vector.
+    pair _pulse_kind reads from the pulses' labels, or None for bare doublet
+    pulses, whose eigensystem is cached per key.  So each step is bit for bit
+    the evolution under effective_hamiltonian.  Returns the normalized vector.
     """
     for p in pulses:
         if pair is None:
@@ -253,24 +236,6 @@ def replay_effective(initial: QuditState, schedule: PulseSchedule) -> QuditState
     return QuditState.from_vector(vec, normalize=True)
 
 
-def _solve_pair_rotation(params: ModelParams, omega_01: float,
-                         target: DressedIndex, other: DressedIndex,
-                         u: np.ndarray) -> tuple[float, float]:
-    """Control phase and duration rotating the pair's Bloch vector onto +z.
-
-    The realized in-plane axis azimuth is an affine function of phi_01 whose
-    offset and sense are read off the control matrix element numerically, so
-    the solution is immune to sign-convention drift.  At u = -z the target
-    level is empty and u_x, u_y are rounding noise, so the azimuth follows
-    that noise rather than a fixed axis (ROADMAP item 2).
-    """
-    tpos, opos = target.position(), other.position()
-    h0 = control_element(params, omega_01, 0.0, tpos, opos)
-    h1 = control_element(params, omega_01, 0.5, tpos, opos)
-    phi_01, theta = _pair_axis(h0, h1, u)
-    return phi_01, theta / (2.0 * abs(h0))
-
-
 def _pair_axis(h0: complex, h1: complex, u: np.ndarray) -> tuple[float, float]:
     """Control phase and rotation angle taking u onto +z, given the pair's
     coupling element h0 at phi_01 = 0 and h1 at phi_01 = 0.5."""
@@ -281,15 +246,25 @@ def _pair_axis(h0: complex, h1: complex, u: np.ndarray) -> tuple[float, float]:
     return wrap_phase(sense * wrap_phase(beta - math.pi / 2 - a0)), theta
 
 
-def _emit_pair_rotation(eff: np.ndarray, target: DressedIndex, other: DressedIndex,
-                        delta_01: float, name: str, opts: CompileOptions,
-                        params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
-    pair = (target.position(), other.position())
+def _emit_pair_rotation(eff: np.ndarray, pair: tuple[int, int], delta_01: float,
+                        name: str, opts: CompileOptions, params: ModelParams
+                        ) -> tuple[tuple[PulseParams, ...], np.ndarray]:
+    """Pulses rotating the (target, other) pair's Bloch vector onto +z.
+
+    The realized in-plane axis azimuth is an affine function of phi_01 whose
+    offset and sense are read off the control matrix element numerically, so
+    the solution is immune to sign-convention drift.  At u = -z the target
+    level is empty and u_x, u_y are rounding noise, so the azimuth follows
+    that noise rather than a fixed axis (ROADMAP item 2).  Returns the pulses
+    and the advanced effective state.
+    """
     u, weight = _pair_bloch(eff, *pair)
     if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
         return (), eff
     omega_01 = opts.omega_01 * params.omega_1r
-    phi_01, T = _solve_pair_rotation(params, omega_01, target, other, u)
+    h0 = control_element(params, omega_01, 0.0, *pair)
+    phi_01, theta = _pair_axis(h0, control_element(params, omega_01, 0.5, *pair), u)
+    T = theta / (2.0 * abs(h0))
     if opts.fold_variant == "tilde":
         head, _, tail = name.partition("(")
         base = f"{head}~({tail}"
@@ -305,19 +280,17 @@ def _emit_pair_rotation(eff: np.ndarray, target: DressedIndex, other: DressedInd
     return pulses, _advance(eff, params, pulses, pair)
 
 
-def _fold_levels(pair: FoldPair, params: ModelParams
-                 ) -> tuple[DressedIndex, DressedIndex, float]:
-    """Target level, other level and resonant detuning of a fold.
+def _fold_levels(s: int, q: int, params: ModelParams) -> tuple[tuple[int, int], float]:
+    """(target, other) positions of the fold {|s,q+1>, |sbar,q>} and its detuning.
 
-    The detuning matches the pair gap, s*omega_1r*(sqrt(q+1)+sqrt(q))/2.
+    The target is |sbar,q>, sbar the opposite sign; the detuning matches the
+    pair gap, s*omega_1r*(sqrt(q+1)+sqrt(q))/2.
     """
-    target = DressedIndex.branch(-pair.s, pair.q)
-    other = DressedIndex.branch(pair.s, pair.q + 1)
-    delta = pair.s * params.omega_1r * (math.sqrt(pair.q + 1) + math.sqrt(pair.q)) / 2
-    return target, other, delta
+    return ((_position(-s, q), _position(s, q + 1)),
+            s * params.omega_1r * (math.sqrt(q + 1) + math.sqrt(q)) / 2)
 
 
-def _fold(eff: np.ndarray, pair: FoldPair, opts: CompileOptions,
+def _fold(eff: np.ndarray, s: int, q: int, opts: CompileOptions,
           params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
     """One fold: transfer the pair {|s,q+1>, |sbar,q>} onto |sbar,q>.
 
@@ -325,20 +298,16 @@ def _fold(eff: np.ndarray, pair: FoldPair, opts: CompileOptions,
     Takes and returns a normalized amplitude vector: the emitted pulses and
     the advanced effective state.
     """
-    if pair.q > params.N - 1:
-        raise ValueError(f"fold level q={pair.q} out of range for N={params.N}")
-    target, other, delta = _fold_levels(pair, params)
-    return _emit_pair_rotation(eff, target, other, delta,
-                               f"fold({_sgn(pair.s)},q={pair.q})", opts, params)
+    if not 1 <= q <= params.N - 1:
+        raise ValueError(f"fold level q={q} out of range for N={params.N}")
+    pair, delta = _fold_levels(s, q, params)
+    return _emit_pair_rotation(eff, pair, delta, f"fold({_sgn(s)},q={q})", opts, params)
 
 
 def _g0_pulses(eff: np.ndarray, s: int, opts: CompileOptions,
                params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
     """Rotation in {|s,1>, |g,0>} moving the pair's population onto |g,0>."""
-    target = DressedIndex.ground()
-    other = DressedIndex.branch(s, 1)
-    delta = s * params.omega_1r / 2
-    return _emit_pair_rotation(eff, target, other, delta,
+    return _emit_pair_rotation(eff, (0, _position(s, 1)), s * params.omega_1r / 2,
                                f"g0rot({_sgn(s)})", opts, params)
 
 
@@ -350,13 +319,12 @@ def _doublet_senses() -> tuple[int, int]:
     angle atan2(u_x, u_z) under phi_1r = pi/2), both in the |-,1>-up frame.
     """
     params = ModelParams(1)
-    pair = (DressedIndex.branch(-1, 1), DressedIndex.branch(+1, 1))
     start = QuditState.from_vector([0.0, 1.0, 1.0], normalize=True)   # u = +x
     dt = 1e-3
     senses = []
     for phi_1r, component, flip in ((math.pi, 1, 1), (math.pi / 2, 2, -1)):
         vec = _evolve(build_total(params, PulseParams(dt, 1.0, phi_1r)), dt, start.amplitudes)
-        u, _ = bloch_vector(QuditState.from_vector(vec, normalize=True), pair)
+        u, _ = _pair_bloch(vec / np.linalg.norm(vec), _MINUS1, _PLUS1)
         senses.append(1 if flip * u[component] > 0 else -1)
     return senses[0], senses[1]
 
@@ -369,8 +337,7 @@ def _doublet_pulses(eff: np.ndarray, params: ModelParams
     about y; the azimuth is first brought to 0 or pi (whichever gives the
     shorter total duration), then the polar angle to 0.
     """
-    u, weight = _pair_bloch(eff, DressedIndex.branch(-1, 1).position(),
-                            DressedIndex.branch(+1, 1).position())
+    u, weight = _pair_bloch(eff, _MINUS1, _PLUS1)
     if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
         return (), eff
     sense_z, sense_y = _doublet_senses()
@@ -412,12 +379,12 @@ def compile_full_control(target: QuditState, opts: CompileOptions,
     pulses: list[PulseParams] = []
     for level in range(params.N, 1, -1):
         for s in (+1, -1):
-            emitted, eff = _fold(eff, FoldPair(s, level - 1), opts, params)
+            emitted, eff = _fold(eff, s, level - 1, opts, params)
             pulses.extend(emitted)
     if space == "Hprime":
         emitted, eff = _doublet_pulses(eff, params)
         pulses.extend(emitted)
-        final_pos = DressedIndex.branch(-1, 1).position()
+        final_pos = _MINUS1
     else:
         for s in (+1, -1):
             emitted, eff = _g0_pulses(eff, s, opts, params)
@@ -476,13 +443,11 @@ def _phase_calibration() -> tuple[int, float]:
     only on the fixed conventions, not on N or the amplitudes.
     """
     params = ModelParams(2)
-    minus1 = DressedIndex.branch(-1, 1)
-    start = QuditState.basis_state(2, minus1).amplitudes
-    pair = (minus1.position(), 0)
+    start = np.eye(params.dim, dtype=complex)[_MINUS1]
 
     def realized(x: float) -> float:
-        out = _advance(start, params, _phase_pulses(x, 0.05, params).pulses, pair)
-        amp = out[minus1.position()]
+        out = _advance(start, params, _phase_pulses(x, 0.05, params).pulses, (_MINUS1, 0))
+        amp = out[_MINUS1]
         if abs(abs(amp) - 1.0) > 1e-9:
             raise ContractViolation("phase-pulse calibration left the state")
         return cmath.phase(amp)
@@ -610,12 +575,11 @@ def _edge_step(N: int, s: int, q: int) -> float:
     depends on the fold alone.
     """
     params = ModelParams(N)
-    target, other, delta = _fold_levels(FoldPair(s, q), params)
+    pair, delta = _fold_levels(s, q, params)
     H = build_total(params, PulseParams(1.0, 1.0, 0.0, 1.0, 0.0, delta))
     d = np.real(np.diag(H))
     coupled = np.triu(np.abs(H) > 0, 1)
-    coupled[min(target.position(), other.position()),
-            max(target.position(), other.position())] = False
+    coupled[min(pair), max(pair)] = False
     g = np.abs(H)[coupled]
     gap = np.abs(d[:, None] - d[None, :])[coupled]
     beat = np.exp(1j * np.outer(_STEP_GRID, gap))
@@ -658,8 +622,7 @@ class _FoldPropagator:
 class _ShapedFold:
     """One readout fold's pulses at phi_01 = 0 and its cached evolution."""
 
-    target: DressedIndex
-    other: DressedIndex
+    pair: tuple[int, int]           # (target, other) positions
     h0: complex                     # resonant coupling element at phi_01 = 0
     h1: complex                     # the same at phi_01 = 0.5
     edge: tuple[PulseParams, ...]   # rising edge in time order
@@ -683,8 +646,7 @@ class _ShapedFold:
 
 @lru_cache(maxsize=256)
 def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _ShapedFold:
-    target, other, delta = _fold_levels(FoldPair(s, q), params)
-    pair = (target.position(), other.position())
+    pair, delta = _fold_levels(s, q, params)
     step = _edge_step(params.N, s, q) / params.omega_1r
     label = f"fold({_sgn(s)},q={q}){_SHAPED}"
     levels = _excitations(params.N)
@@ -715,7 +677,7 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
                                reduce(lambda acc, u: u @ acc, steps[::-1]), w, V, params.N)
 
     h1 = complex(control_element(params, omega_01, 0.5, *pair))
-    return _ShapedFold(target, other, complex(control[pair]), h1,
+    return _ShapedFold(pair, complex(control[pair]), h1,
                        tuple(p for p, _ in edge), flat, propagator(lambda H: H),
                        propagator(lambda H: _light_shifted(H, pair)))
 
@@ -732,8 +694,7 @@ def _readout(target: QuditState, opts: CompileOptions) -> tuple[PulseSchedule, n
     for level in range(params.N, 1, -1):
         for s in (+1, -1):
             fold = _shaped_fold(params, omega_01, s, level - 1)
-            u, weight = _pair_bloch(eff / np.linalg.norm(eff),
-                                    fold.target.position(), fold.other.position())
+            u, weight = _pair_bloch(eff / np.linalg.norm(eff), *fold.pair)
             if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
                 continue
             phi_01, turn = _pair_axis(fold.h0, fold.h1, u)
@@ -749,8 +710,7 @@ def _readout(target: QuditState, opts: CompileOptions) -> tuple[PulseSchedule, n
     emitted, final = _doublet_pulses(eff / np.linalg.norm(eff), params)
     pulses.extend(emitted)
     U = schedule_operator(PulseSchedule(params, emitted)) @ U
-    final_pos = DressedIndex.branch(-1, 1).position()
-    if abs(QuditState(final).amplitudes[final_pos]) ** 2 < 1.0 - 1e-9:
+    if abs(QuditState(final).amplitudes[_MINUS1]) ** 2 < 1.0 - 1e-9:
         raise ContractViolation("readout synthesis failed to concentrate the state")
     return PulseSchedule(params, tuple(pulses)), U
 
@@ -782,4 +742,4 @@ def measure_projection(state: QuditState, target: QuditState,
         raise ValueError("state and target dimensions differ")
     _, U = _readout(target, opts)
     final = U @ state.amplitudes
-    return float(abs(final[DressedIndex.branch(-1, 1).position()]) ** 2)
+    return float(abs(final[_MINUS1]) ** 2)

@@ -57,6 +57,11 @@ class ModelParams:
         return 2 * self.N + 1
 
 
+def _position(sign: int, q: int) -> int:
+    """Canonical position of the branch level |sign,q>, q >= 1."""
+    return 2 * q - 1 + (1 if sign > 0 else 0)
+
+
 @dataclass(frozen=True, order=True)
 class DressedIndex:
     """One level of the dressed ladder: the ground level or a branch |sign,q>.
@@ -91,7 +96,7 @@ class DressedIndex:
         """Offset of this level in the canonical ordering."""
         if self.is_ground:
             return 0
-        return 2 * self.q - 1 + (1 if self.sign > 0 else 0)
+        return _position(self.sign, self.q)
 
     def __str__(self) -> str:
         if self.is_ground:
@@ -267,13 +272,13 @@ def _template(N: int) -> _Template:
     pairs: dict[tuple[int, int], float] = {}
     for s in (+1, -1):
         for q in range(1, N):
-            up = DressedIndex.branch(s, q + 1).position()
-            pairs[up, DressedIndex.branch(s, q).position()] = coupling_K(N, q)
-            pairs[up, DressedIndex.branch(-s, q).position()] = -coupling_Q(N, q)
-        pairs[DressedIndex.branch(s, 1).position(), 0] = s * math.sqrt(N / 2.0)
+            up = _position(s, q + 1)
+            pairs[up, _position(s, q)] = coupling_K(N, q)
+            pairs[up, _position(-s, q)] = -coupling_Q(N, q)
+        pairs[_position(s, 1), 0] = s * math.sqrt(N / 2.0)
     excited = [lvl for lvl in level_ordering(N) if not lvl.is_ground]
-    plus = [DressedIndex.branch(+1, q).position() for q in range(1, N + 1)]
-    minus = [DressedIndex.branch(-1, q).position() for q in range(1, N + 1)]
+    plus = [_position(+1, q) for q in range(1, N + 1)]
+    minus = [_position(-1, q) for q in range(1, N + 1)]
     return _Template(
         pair=_frozen([u * dim + d for u, d in pairs], int),
         pair_t=_frozen([d * dim + u for u, d in pairs], int),
@@ -414,9 +419,9 @@ def qudit_ordering_permutation(N: int) -> np.ndarray:
         raise ValueError("N must be >= 1")
     perm = np.empty(2 * N, dtype=int)
     for j in range(1, N + 1):
-        perm[j - 1] = DressedIndex.branch(-1, N + 1 - j).position() - 1
+        perm[j - 1] = _position(-1, N + 1 - j) - 1
     for j in range(N + 1, 2 * N + 1):
-        perm[j - 1] = DressedIndex.branch(+1, j - N).position() - 1
+        perm[j - 1] = _position(+1, j - N) - 1
     return perm
 
 

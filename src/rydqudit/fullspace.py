@@ -347,6 +347,8 @@ def compare_evolution(g: Geometry, pulse: PulseParams, T: float,
     """
     if T < 0:
         raise ValueError(f"evolution time must be >= 0, got {T}")
+    if initial.q > g.N:
+        raise ValueError(f"level {initial} needs at least {initial.q} sites, got N={g.N}")
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
     params = ModelParams(g.N)
     B = dressed_frame(g.N)

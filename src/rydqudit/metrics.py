@@ -197,12 +197,14 @@ def feasibility_frontier(result: ScanResult,
     calibrated so that simulated durations and infidelities (which carry
     order-10 prefactors absent from back-of-envelope scaling formulas)
     reproduce the expected feasible sizes at Gamma_r^-1 = 100 us,
-    omega_1r/2pi = 300 MHz.
+    omega_1r/2pi = 300 MHz.  A kind without a frozen cap needs error_cap.
     """
     verdicts = []
     keys = sorted({(r.kind, r.N) for r in result.rows}, key=lambda k: (k[0], k[1]))
     for kind, N in keys:
-        cap = error_cap if error_cap is not None else FEASIBILITY_ERROR_CAPS.get(kind, 0.5)
+        cap = error_cap if error_cap is not None else FEASIBILITY_ERROR_CAPS.get(kind)
+        if cap is None:
+            raise ValueError(f"no calibrated error cap for kind {kind!r}; pass error_cap")
         rows = sorted((r for r in result.rows if r.kind == kind and r.N == N),
                       key=lambda r: r.ratio)
         crossing = next((r for r in rows if r.decay_probability <= r.infidelity), None)

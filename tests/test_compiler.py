@@ -26,15 +26,14 @@ from rydqudit.compiler import (
     _fold_levels,
     _invert_pulse,
     _pair_hamiltonian,
+    _pulse_kind,
     CompileOptions,
-    FoldPair,
     compile_full_control,
     compile_phase_gate,
     compile_readout,
     compile_state_prep,
     compile_unitary,
     effective_hamiltonian,
-    effective_pair_for_label,
     invert_full_control,
     measure_projection,
     replay_effective,
@@ -62,12 +61,12 @@ def random_qudit_state(N, seed, ground=0.0):
 
 def test_fold_resonance_oracle():
     state = random_qudit_state(2, 0)
-    pulses, _ = _fold(state.amplitudes, FoldPair(+1, 1), OPTS, ModelParams(2))
+    pulses, _ = _fold(state.amplitudes, +1, 1, OPTS, ModelParams(2))
     assert len(pulses) == 1
     assert pulses[0].delta_01 == pytest.approx(FOLD_DELTA_PLUS_Q1, abs=1e-12)
     assert pulses[0].label == "fold(+,q=1)"
     state3 = random_qudit_state(3, 0)
-    pulses, _ = _fold(state3.amplitudes, FoldPair(-1, 2), OPTS, ModelParams(3))
+    pulses, _ = _fold(state3.amplitudes, -1, 2, OPTS, ModelParams(3))
     assert pulses[0].delta_01 == pytest.approx(FOLD_DELTA_MINUS_Q2, abs=1e-12)
 
 
@@ -83,27 +82,71 @@ def test_phase_pulse_duration_oracle():
 
 def test_fold_pair_validation():
     with pytest.raises(ValueError):
-        FoldPair(0, 1)
-    with pytest.raises(ValueError):
-        FoldPair(1, 0)
+        _fold(random_qudit_state(2, 0).amplitudes, 1, 0, OPTS, ModelParams(2))
     with pytest.raises(ValueError):
         CompileOptions(omega_01=0.0)
     with pytest.raises(ValueError):
         CompileOptions(fold_variant="other")
 
 
-def test_effective_pair_for_label():
-    N = 3
-    assert effective_pair_for_label("fold(+,q=2)", N) == (
+def emitted_label_pairs(N):
+    """Every label the compiler emits at N, with its (target, other) pair
+    read off the public level type, or None for the bare doublet pulses."""
+    def pos(s, q):
+        return DressedIndex.branch(s, q).position()
+
+    pairs = {"phase:a": (MINUS1.position(), 0), "phase:b": (MINUS1.position(), 0),
+             "doublet:z": None, "doublet:y": None}
+    for s, sign in ((+1, "+"), (-1, "-")):
+        for q in range(1, N):
+            fold = (pos(-s, q), pos(s, q + 1))
+            for label in (f"fold({sign},q={q})", f"fold~({sign},q={q}):a",
+                          f"fold~({sign},q={q}):b", f"fold({sign},q={q}):shaped"):
+                pairs[label] = fold
+        for label in (f"g0rot({sign})", f"g0rot~({sign}):a", f"g0rot~({sign}):b"):
+            pairs[label] = (DressedIndex.ground().position(), pos(s, 1))
+    return {**pairs, **{"inv:" + label: pair for label, pair in pairs.items()}}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 9, 12])
+def test_pulse_kind_pairs_match_dressed_index_positions(N):
+    labels = emitted_label_pairs(N)
+    assert len(labels) == 2 * (4 + 8 * (N - 1) + 6)
+    for label, pair in labels.items():
+        assert _pulse_kind(label, N)[0] == pair, label
+    assert _pulse_kind("fold(+,q=2)", 3)[0] == (
         DressedIndex.branch(-1, 2).position(), DressedIndex.branch(+1, 3).position())
-    assert effective_pair_for_label("inv:g0rot(-)", N) == (
-        0, DressedIndex.branch(-1, 1).position())
-    assert effective_pair_for_label("phase:a", N) == (MINUS1.position(), 0)
-    assert effective_pair_for_label("doublet:z", N) is None
+    assert _pulse_kind("inv:g0rot(-)", 3)[0] == (0, DressedIndex.branch(-1, 1).position())
     with pytest.raises(ValueError):
-        effective_pair_for_label("mystery", N)
+        _pulse_kind("mystery", N)
     with pytest.raises(ValueError):
-        effective_pair_for_label("fold(+,q=3)", N)
+        _pulse_kind(f"fold(+,q={N})", N)
+
+
+def test_schedules_are_compiled_without_dressed_index_objects(monkeypatch):
+    # levels inside a compile are canonical positions; the public type is
+    # for callers only
+    N = 3
+    U = hadamard_target(N)
+    opts = CompileOptions(omega_01=1e-2)
+    target, state = random_qudit_state(N, 5), random_qudit_state(N, 6)
+
+    def compile_all():
+        compile_unitary(U, opts)
+        compile_state_prep(target, opts)
+        return measure_projection(state, target, opts)
+
+    warm = compile_all()
+    calls = []
+    original = DressedIndex.__post_init__
+
+    def counting(self):
+        calls.append((self.q, self.sign))
+        original(self)
+
+    monkeypatch.setattr(DressedIndex, "__post_init__", counting)
+    assert compile_all() == warm
+    assert calls == []
 
 
 @pytest.mark.parametrize("variant", ["plain", "tilde"])
@@ -124,7 +167,7 @@ def test_fold_stage_monotonicity(seed):
     eff = random_qudit_state(N, seed)
     for level in range(N, 1, -1):
         for s in (+1, -1):
-            _, vec = _fold(eff.amplitudes, FoldPair(s, level - 1), OPTS, ModelParams(N))
+            _, vec = _fold(eff.amplitudes, s, level - 1, OPTS, ModelParams(N))
             eff = QuditState(vec)
     doublet = {MINUS1.position(), DressedIndex.branch(+1, 1).position()}
     for pos in range(2 * N + 1):
@@ -423,7 +466,7 @@ def label_effective(params, pulse):
     """The effective Hamiltonian as built from the label: build_total's
     diagonal plus the labelled pair's elements, or all of it for a doublet."""
     H = build_total(params, pulse)
-    pair = effective_pair_for_label(pulse.label, params.N)
+    pair = _pulse_kind(pulse.label, params.N)[0]
     if pair is None:
         return H
     Heff = np.diag(np.diag(H))
@@ -443,13 +486,13 @@ def pair_rotations(params, seed):
     """Every fold and g0rot pulse at N, as emitted and inverted, plain and
     as tilde halves, at seeded phi_01 values: (pair, pulse) tuples."""
     rng = np.random.default_rng((seed, params.N))
-    rotations = [(_fold_levels(FoldPair(s, q), params), f"fold({'+' if s > 0 else '-'},q={q})")
+    rotations = [(_fold_levels(s, q, params), f"fold({'+' if s > 0 else '-'},q={q})")
                  for q in range(1, params.N) for s in (+1, -1)]
-    rotations += [((DressedIndex.ground(), DressedIndex.branch(s, 1), s * params.omega_1r / 2),
+    rotations += [(((DressedIndex.ground().position(), DressedIndex.branch(s, 1).position()),
+                    s * params.omega_1r / 2),
                    f"g0rot({'+' if s > 0 else '-'})") for s in (+1, -1)]
     w = params.omega_1r
-    for (target, other, delta), name in rotations:
-        pair = (target.position(), other.position())
+    for (pair, delta), name in rotations:
         head, _, tail = name.partition("(")
         for ratio, phi in [(1e-3, 0.0), *((r, rng.uniform(-math.pi, math.pi))
                                          for r in (1e-3, 1e-2, 1e-2))]:

@@ -78,6 +78,12 @@ def test_level_ordering_positions():
     assert [l.position() for l in levels] == list(range(7))
 
 
+def test_position_rule_matches_dressed_index():
+    for q in range(1, 13):
+        for s in (+1, -1):
+            assert core._position(s, q) == DressedIndex.branch(s, q).position()
+
+
 def test_dressed_index_validation():
     with pytest.raises(ValueError):
         DressedIndex(0, 1)

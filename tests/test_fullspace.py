@@ -195,6 +195,14 @@ def test_compare_evolution_high_blockade():
         compare_evolution(triangle(1e4), pulse, -1.0, DressedIndex.ground())
 
 
+def test_compare_evolution_rejects_level_above_site_count():
+    pulse = PulseParams(1.0, 1.0, 0.0, 1e-2, 0.0, 0.0)
+    g = Geometry(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 1.0, 0.5, 1e4, 1)
+    with pytest.raises(ValueError, match=r"level \+,3 needs at least 3 sites"):
+        compare_evolution(g, pulse, 1.0, DressedIndex.branch(+1, 3))
+    assert compare_evolution(g, pulse, 1.0, DressedIndex.branch(+1, 2)) >= 0.999
+
+
 def test_site_cap_constant():
     assert FULLSPACE_SITE_CAP == 8
 

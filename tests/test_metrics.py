@@ -163,3 +163,12 @@ def test_feasibility_frontier_custom_cap():
     rows = _rows("phase", 5, [(1e-2, 0.05, 0.01)])
     assert feasibility_frontier(ScanResult(tuple(rows)), error_cap=0.1)[0].feasible
     assert not feasibility_frontier(ScanResult(tuple(rows)), error_cap=0.01)[0].feasible
+
+
+def test_feasibility_frontier_needs_a_cap_for_an_uncalibrated_kind():
+    # a misspelt kind is not judged against a made-up cap
+    rows = _rows("hadamrd", 8, [(1e-2, 0.55, 0.01)])
+    with pytest.raises(ValueError, match="hadamrd"):
+        feasibility_frontier(ScanResult(tuple(rows)))
+    assert feasibility_frontier(ScanResult(tuple(rows)), error_cap=0.6)[0].feasible
+    assert feasibility_frontier(ScanResult(tuple(_rows("hadamard", 8, [(1e-2, 0.55, 0.01)]))))[0].feasible

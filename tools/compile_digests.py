@@ -1,0 +1,97 @@
+"""Digests of what the compiler emits, to compare two checkouts bit for bit.
+
+Usage: python3 tools/compile_digests.py [CHECKOUT_ROOT]
+
+Imports rydqudit from CHECKOUT_ROOT/src (default: the checkout holding this
+script) and prints one JSON object with one entry per case: the SHA-256 of
+each schedule's JSON document and of its schedule_operator bytes, float.hex
+of each measure_projection value, and the repr of the phase-pulse and
+doublet calibrations.  The cases are state prep, a Haar phase gate
+(Phi = -2.3), a uniform phase gate (pi/2) and a readout at N in {1, 2, 3, 5,
+9}, ratio in {1e-3, 1e-2}, plain and tilde folds; Hadamard with and without
+skip_zero_phases at N <= 3 and N = 9, ratio 1e-2; measure_projection with
+plain folds; and one inverted full-control schedule.
+
+The bits depend on the numpy and LAPACK build, so compare two checkouts on
+one machine, never against a stored file.  BLAS runs on one thread unless
+the environment says otherwise:
+
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    python3 tools/compile_digests.py ../parent > parent.json
+    python3 tools/compile_digests.py > change.json
+    cmp parent.json change.json
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import hashlib
+import json
+import math
+import sys
+
+NS = (1, 2, 3, 5, 9)
+RATIOS = (1e-3, 1e-2)
+VARIANTS = ("plain", "tilde")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> None:
+    root = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), "..")
+    src = os.path.abspath(os.path.join(root, "src"))
+    sys.path.insert(0, src)
+    import numpy as np
+    import rydqudit as rq
+    from rydqudit import compiler
+    from rydqudit.cli import schedule_to_json
+
+    if not os.path.abspath(rq.__file__).startswith(src + os.sep):
+        sys.exit(f"rydqudit was imported from {rq.__file__}, not from {src}")
+
+    def haar(N: int, seed: int) -> rq.QuditState:
+        rng = np.random.default_rng((seed, N))
+        v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+        v[0] = 0.0
+        return rq.QuditState.from_vector(v, normalize=True)
+
+    out = {}
+
+    def digest(name: str, schedule: rq.PulseSchedule) -> None:
+        out[name] = {
+            "schedule_sha256": _sha256(schedule_to_json(schedule).encode()),
+            "operator_sha256": _sha256(rq.schedule_operator(schedule).tobytes()),
+        }
+
+    for N in NS:
+        for ratio in RATIOS:
+            for variant in VARIANTS:
+                opts = rq.CompileOptions(omega_01=ratio, fold_variant=variant)
+                case = f"N={N} ratio={ratio!r} {variant}"
+                digest(f"prep {case}", rq.compile_state_prep(haar(N, 1), opts))
+                digest(f"phase haar {case}", rq.compile_phase_gate(haar(N, 2), -2.3, opts))
+                digest(f"phase uniform {case}",
+                       rq.compile_phase_gate(rq.QuditState.uniform(N), math.pi / 2, opts))
+                digest(f"readout {case}", rq.compile_readout(haar(N, 3), opts))
+            opts = rq.CompileOptions(omega_01=ratio)
+            out[f"measure_projection N={N} ratio={ratio!r}"] = float.hex(
+                rq.measure_projection(haar(N, 4), haar(N, 3), opts))
+    for N in (1, 2, 3, 9):
+        for skip in (False, True):
+            opts = rq.CompileOptions(omega_01=1e-2, skip_zero_phases=skip)
+            digest(f"hadamard N={N} skip_zero_phases={skip}",
+                   rq.compile_unitary(rq.hadamard_target(N), opts))
+    forward = rq.compile_full_control(haar(5, 5), rq.CompileOptions(omega_01=1e-2,
+                                                                    fold_variant="tilde"))
+    digest("inverted full control N=5 ratio=0.01 tilde", rq.invert_full_control(forward))
+    out["_phase_calibration"] = repr(compiler._phase_calibration())
+    out["_doublet_senses"] = repr(compiler._doublet_senses())
+    print(json.dumps(out, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
