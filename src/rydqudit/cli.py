@@ -52,7 +52,6 @@ from .metrics import (
     decay_estimate,
     decay_survival,
     feasibility_frontier,
-    infidelity,
     scan,
 )
 from .fullspace import (

@@ -44,6 +44,7 @@ from .core import (
     PulseParams,
     QuditState,
     _diagonal,
+    _excitations,
     _pair_bloch,
     _position,
     build_control,
@@ -55,7 +56,6 @@ from .core import (
 from .propagator import (
     PulseSchedule,
     _evolve,
-    _excitations,
     _gauge,
     _propagate,
     schedule_operator,
@@ -261,7 +261,7 @@ def _emit_pair_rotation(eff: np.ndarray, pair: tuple[int, int], delta_01: float,
     u, weight = _pair_bloch(eff, *pair)
     if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
         return (), eff
-    omega_01 = opts.omega_01 * params.omega_1r
+    omega_01 = opts.omega_01
     h0 = control_element(params, omega_01, 0.0, *pair)
     phi_01, theta = _pair_axis(h0, control_element(params, omega_01, 0.5, *pair), u)
     T = theta / (2.0 * abs(h0))
@@ -269,25 +269,22 @@ def _emit_pair_rotation(eff: np.ndarray, pair: tuple[int, int], delta_01: float,
         head, _, tail = name.partition("(")
         base = f"{head}~({tail}"
         pulses = (
-            PulseParams(T / 2, params.omega_1r, 0.0, omega_01, phi_01,
-                        delta_01, label=f"{base}:a"),
-            PulseParams(T / 2, params.omega_1r, math.pi, omega_01, phi_01,
-                        -delta_01, label=f"{base}:b"),
+            PulseParams(T / 2, 1.0, 0.0, omega_01, phi_01, delta_01, label=f"{base}:a"),
+            PulseParams(T / 2, 1.0, math.pi, omega_01, phi_01, -delta_01, label=f"{base}:b"),
         )
     else:
-        pulses = (PulseParams(T, params.omega_1r, 0.0, omega_01, phi_01,
-                              delta_01, label=name),)
+        pulses = (PulseParams(T, 1.0, 0.0, omega_01, phi_01, delta_01, label=name),)
     return pulses, _advance(eff, params, pulses, pair)
 
 
-def _fold_levels(s: int, q: int, params: ModelParams) -> tuple[tuple[int, int], float]:
+def _fold_levels(s: int, q: int) -> tuple[tuple[int, int], float]:
     """(target, other) positions of the fold {|s,q+1>, |sbar,q>} and its detuning.
 
     The target is |sbar,q>, sbar the opposite sign; the detuning matches the
-    pair gap, s*omega_1r*(sqrt(q+1)+sqrt(q))/2.
+    pair gap, s*(sqrt(q+1)+sqrt(q))/2 at omega_1r = 1.
     """
     return ((_position(-s, q), _position(s, q + 1)),
-            s * params.omega_1r * (math.sqrt(q + 1) + math.sqrt(q)) / 2)
+            s * (math.sqrt(q + 1) + math.sqrt(q)) / 2)
 
 
 def _fold(eff: np.ndarray, s: int, q: int, opts: CompileOptions,
@@ -300,14 +297,14 @@ def _fold(eff: np.ndarray, s: int, q: int, opts: CompileOptions,
     """
     if not 1 <= q <= params.N - 1:
         raise ValueError(f"fold level q={q} out of range for N={params.N}")
-    pair, delta = _fold_levels(s, q, params)
+    pair, delta = _fold_levels(s, q)
     return _emit_pair_rotation(eff, pair, delta, f"fold({_sgn(s)},q={q})", opts, params)
 
 
 def _g0_pulses(eff: np.ndarray, s: int, opts: CompileOptions,
                params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
     """Rotation in {|s,1>, |g,0>} moving the pair's population onto |g,0>."""
-    return _emit_pair_rotation(eff, (0, _position(s, 1)), s * params.omega_1r / 2,
+    return _emit_pair_rotation(eff, (0, _position(s, 1)), s / 2,
                                f"g0rot({_sgn(s)})", opts, params)
 
 
@@ -352,11 +349,9 @@ def _doublet_pulses(eff: np.ndarray, params: ModelParams
     _, az, ay = best
     pulses = []
     if az > 1e-12:
-        pulses.append(PulseParams(az / params.omega_1r, params.omega_1r,
-                                  math.pi, label="doublet:z"))
+        pulses.append(PulseParams(az, 1.0, math.pi, label="doublet:z"))
     if ay > 1e-12:
-        pulses.append(PulseParams(ay / params.omega_1r, params.omega_1r,
-                                  math.pi / 2, label="doublet:y"))
+        pulses.append(PulseParams(ay, 1.0, math.pi / 2, label="doublet:y"))
     emitted = tuple(pulses)
     return emitted, _advance(eff, params, emitted, None)
 
@@ -427,10 +422,8 @@ def _phase_pulses(x: float, omega_01: float, params: ModelParams) -> PulseSchedu
     """The two-pulse phase block on |-,1>, first control phase x."""
     T = math.sqrt(2) * math.pi / (math.sqrt(params.N) * omega_01)
     return PulseSchedule(params, (
-        PulseParams(T, params.omega_1r, 0.0, omega_01, x,
-                    -params.omega_1r / 2, label="phase:a"),
-        PulseParams(T, params.omega_1r, math.pi, omega_01, 0.0,
-                    params.omega_1r / 2, label="phase:b"),
+        PulseParams(T, 1.0, 0.0, omega_01, x, -0.5, label="phase:a"),
+        PulseParams(T, 1.0, math.pi, omega_01, 0.0, 0.5, label="phase:b"),
     ))
 
 
@@ -478,8 +471,7 @@ def compile_phase_gate(target: QuditState, Phi: float, opts: CompileOptions) -> 
     forward = compile_full_control(target, opts, "Hprime")
     params = forward.params
     sense, offset = _phase_calibration()
-    middle = _phase_pulses(wrap_phase(sense * (Phi - offset)),
-                           opts.omega_01 * params.omega_1r, params)
+    middle = _phase_pulses(wrap_phase(sense * (Phi - offset)), opts.omega_01, params)
     return forward.concat(middle).concat(invert_full_control(forward))
 
 
@@ -574,9 +566,8 @@ def _edge_step(N: int, s: int, q: int) -> float:
     couplings.  g/Delta is proportional to omega_01/omega_1r, so the choice
     depends on the fold alone.
     """
-    params = ModelParams(N)
-    pair, delta = _fold_levels(s, q, params)
-    H = build_total(params, PulseParams(1.0, 1.0, 0.0, 1.0, 0.0, delta))
+    pair, delta = _fold_levels(s, q)
+    H = build_total(ModelParams(N), PulseParams(1.0, 1.0, 0.0, 1.0, 0.0, delta))
     d = np.real(np.diag(H))
     coupled = np.triu(np.abs(H) > 0, 1)
     coupled[min(pair), max(pair)] = False
@@ -646,11 +637,11 @@ class _ShapedFold:
 
 @lru_cache(maxsize=256)
 def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _ShapedFold:
-    pair, delta = _fold_levels(s, q, params)
-    step = _edge_step(params.N, s, q) / params.omega_1r
+    pair, delta = _fold_levels(s, q)
+    step = _edge_step(params.N, s, q)
     label = f"fold({_sgn(s)},q={q}){_SHAPED}"
     levels = _excitations(params.N)
-    bare = build_total(params, PulseParams(step, params.omega_1r))
+    bare = build_total(params, PulseParams(step, 1.0))
     control = build_control(params, omega_01, 0.0, 0.0)
 
     def hamiltonian(amplitude: float, d: float) -> np.ndarray:
@@ -664,7 +655,7 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
             H = hamiltonian(amplitude, d)
             shifted = np.real(np.diag(H)) + _light_shifts(H, pair)
             d -= shifted[pair[0]] - shifted[pair[1]]
-        return (PulseParams(step, params.omega_1r, 0.0, amplitude * omega_01, 0.0, d, label),
+        return (PulseParams(step, 1.0, 0.0, amplitude * omega_01, 0.0, d, label),
                 hamiltonian(amplitude, d))
 
     edge = [segment(float(a)) for a in _EDGE_PROFILE]
@@ -687,13 +678,12 @@ def _readout(target: QuditState, opts: CompileOptions) -> tuple[PulseSchedule, n
     params = ModelParams(target.N)
     if abs(target.amplitudes[0]) > 1e-10:
         raise ContractViolation("readout target must carry no |g,0> amplitude")
-    omega_01 = opts.omega_01 * params.omega_1r
     eff = target.amplitudes
     U = np.eye(params.dim, dtype=complex)
     pulses: list[PulseParams] = []
     for level in range(params.N, 1, -1):
         for s in (+1, -1):
-            fold = _shaped_fold(params, omega_01, s, level - 1)
+            fold = _shaped_fold(params, opts.omega_01, s, level - 1)
             u, weight = _pair_bloch(eff / np.linalg.norm(eff), *fold.pair)
             if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
                 continue

@@ -41,16 +41,16 @@ def wrap_phase(x: float) -> float:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Atom count and dressing Rabi frequency of the artificial molecule."""
+    """Atom count of the artificial molecule; the dressing amplitude is a pulse field."""
 
     N: int
-    omega_1r: float = 1.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
+            raise ValueError(f"atom count must be an integer, got {self.N!r}")
+        object.__setattr__(self, "N", int(self.N))
         if self.N < 1:
             raise ValueError(f"atom count must be >= 1, got {self.N}")
-        if not self.omega_1r > 0:
-            raise ValueError(f"omega_1r must be positive, got {self.omega_1r}")
 
     @property
     def dim(self) -> int:
@@ -102,6 +102,21 @@ class DressedIndex:
         if self.is_ground:
             return "g0"
         return f"{'+' if self.sign > 0 else '-'},{self.q}"
+
+
+def _level_position(idx: DressedIndex, N: int) -> int:
+    """Canonical position of idx on the ladder of N atoms; a level above q = N raises."""
+    if idx.q > N:
+        raise ValueError(f"level {idx} needs at least {idx.q} sites, got N={N}")
+    return idx.position()
+
+
+@lru_cache(maxsize=None)
+def _excitations(N: int) -> np.ndarray:
+    """Excitation number q = (p + 1) // 2 of every canonical position p (read-only)."""
+    q = ((np.arange(2 * N + 1) + 1) // 2).astype(float)
+    q.flags.writeable = False
+    return q
 
 
 def level_ordering(N: int) -> list[DressedIndex]:
@@ -176,7 +191,7 @@ class QuditState:
     @classmethod
     def basis_state(cls, N: int, idx: DressedIndex) -> "QuditState":
         amp = np.zeros(2 * N + 1, dtype=complex)
-        amp[idx.position()] = 1.0
+        amp[_level_position(idx, N)] = 1.0
         return cls(amp)
 
     @classmethod
@@ -241,9 +256,10 @@ class _Template:
     (up, down), offset ``pair[k]``, and its conjugate at (down, up), offset
     ``pair_t[k]``; ``pairs`` maps (up, down) positions back to k.
     ``excited`` holds the diagonal offsets of the |s,q> levels and ``q``
-    their excitation numbers.  Doublet q of the bare part has the diagonal
-    offsets ``plus[q-1]`` and ``minus[q-1]``, the coupling offsets
-    ``plus_minus[q-1]`` and ``minus_plus[q-1]`` and the scale ``sqrt_q[q-1]``.
+    their excitation numbers, both read from _excitations.  Doublet q of the
+    bare part has the diagonal offsets ``plus[q-1]`` and ``minus[q-1]``, the
+    coupling offsets ``plus_minus[q-1]`` and ``minus_plus[q-1]`` and the scale
+    ``sqrt_q[q-1]``.
     All arrays are read-only.
     """
 
@@ -276,7 +292,8 @@ def _template(N: int) -> _Template:
             pairs[up, _position(s, q)] = coupling_K(N, q)
             pairs[up, _position(-s, q)] = -coupling_Q(N, q)
         pairs[_position(s, 1), 0] = s * math.sqrt(N / 2.0)
-    excited = [lvl for lvl in level_ordering(N) if not lvl.is_ground]
+    levels = _excitations(N)
+    excited = np.flatnonzero(levels)
     plus = [_position(+1, q) for q in range(1, N + 1)]
     minus = [_position(-1, q) for q in range(1, N + 1)]
     return _Template(
@@ -284,8 +301,8 @@ def _template(N: int) -> _Template:
         pair_t=_frozen([d * dim + u for u, d in pairs], int),
         coef=_frozen(list(pairs.values()), float),
         pairs={pair: k for k, pair in enumerate(pairs)},
-        excited=_frozen([lvl.position() * (dim + 1) for lvl in excited], int),
-        q=_frozen([lvl.q for lvl in excited], float),
+        excited=_frozen(excited * (dim + 1), int),
+        q=_frozen(levels[excited], float),
         plus=_frozen([p * (dim + 1) for p in plus], int),
         minus=_frozen([m * (dim + 1) for m in minus], int),
         plus_minus=_frozen([p * dim + m for p, m in zip(plus, minus)], int),
@@ -294,8 +311,8 @@ def _template(N: int) -> _Template:
     )
 
 
-def build_bare(params: ModelParams, phi_1r: float) -> np.ndarray:
-    """Bare Hamiltonian of the dressed ladder for dressing-laser phase phi_1r.
+def build_bare(params: ModelParams, omega_1r: float, phi_1r: float) -> np.ndarray:
+    """Bare Hamiltonian of the dressed ladder for the dressing laser (omega_1r, phi_1r).
 
     Block diagonal: zero on |g,0>, and on each doublet {|+,q>, |-,q>} the
     block (omega_1r sqrt(q)/2) * n . sigma with n = (0, -sin phi, cos phi)
@@ -306,7 +323,7 @@ def build_bare(params: ModelParams, phi_1r: float) -> np.ndarray:
     H = np.zeros((params.dim, params.dim), dtype=complex)
     flat = H.reshape(-1)
     nx, ny, nz = 0.0, -math.sin(phi_1r), math.cos(phi_1r)
-    scale = params.omega_1r * t.sqrt_q / 2.0
+    scale = omega_1r * t.sqrt_q / 2.0
     flat[t.plus] += scale * nz
     flat[t.minus] -= scale * nz
     flat[t.plus_minus] += scale * (nx - 1j * ny)
@@ -367,9 +384,8 @@ def control_element(params: ModelParams, omega_01: float, phi_01: float,
 
 def build_total(params: ModelParams, pulse: PulseParams) -> np.ndarray:
     """Bare plus control Hamiltonian for one pulse's parameters."""
-    bare = build_bare(ModelParams(params.N, pulse.omega_1r), pulse.phi_1r) \
-        if pulse.omega_1r > 0 else np.zeros((params.dim, params.dim), dtype=complex)
-    return bare + build_control(params, pulse.omega_01, pulse.phi_01, pulse.delta_01)
+    return (build_bare(params, pulse.omega_1r, pulse.phi_1r)
+            + build_control(params, pulse.omega_01, pulse.phi_01, pulse.delta_01))
 
 
 @lru_cache(maxsize=256)
@@ -392,7 +408,8 @@ def bloch_vector(state: QuditState,
     up, down = pair
     if up == down:
         raise ValueError("bloch_vector requires two distinct levels")
-    return _pair_bloch(state.amplitudes, up.position(), down.position())
+    return _pair_bloch(state.amplitudes, _level_position(up, state.N),
+                       _level_position(down, state.N))
 
 
 def _pair_bloch(amplitudes: np.ndarray, up: int, down: int) -> tuple[np.ndarray, float]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .core import (
     DressedIndex,
     ModelParams,
     PulseParams,
+    _level_position,
     build_total,
     level_ordering,
 )
@@ -227,8 +228,7 @@ def embed_dressed(N: int, idx: DressedIndex) -> np.ndarray:
     atoms in |1> (resp. q-1 in |1> and one in |r>).
     """
     _check_cap(N)
-    if idx.q > N:
-        raise ValueError(f"level {idx} needs at least {idx.q} sites, got N={N}")
+    _level_position(idx, N)     # rejects a level above q = N
     dim = 3**N
     vec = np.zeros(dim, dtype=complex)
     if idx.is_ground:
@@ -347,16 +347,15 @@ def compare_evolution(g: Geometry, pulse: PulseParams, T: float,
     """
     if T < 0:
         raise ValueError(f"evolution time must be >= 0, got {T}")
-    if initial.q > g.N:
-        raise ValueError(f"level {initial} needs at least {initial.q} sites, got N={g.N}")
+    start = _level_position(initial, g.N)
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
     params = ModelParams(g.N)
     B = dressed_frame(g.N)
-    psi0_full = B[:, initial.position()]
+    psi0_full = B[:, start]
     w_full, V0 = _real_eigensystem(g, pulse)
     d = _gauge_diagonal(g, pulse)
     psi_full = d * _propagate(w_full, V0, T, d.conj() * psi0_full)
     e0 = np.zeros(params.dim, dtype=complex)
-    e0[initial.position()] = 1.0
+    e0[start] = 1.0
     psi_dressed = B @ _evolve(build_total(params, pulse), T, e0)
     return float(abs(np.vdot(psi_full, psi_dressed)))

@@ -14,13 +14,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
     DressedIndex,
-    ModelParams,
     QuditState,
     hadamard_target,
 )

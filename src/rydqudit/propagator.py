@@ -13,9 +13,7 @@ kept for that call only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,8 +24,8 @@ from .core import (
     PulseParams,
     QuditState,
     _diagonal,
+    _excitations,
     build_total,
-    level_ordering,
 )
 
 DEFAULT_SAMPLES_PER_PULSE = 64
@@ -118,14 +116,6 @@ def _real_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     out.real = M @ X.real
     out.imag = M @ X.imag
     return out
-
-
-@lru_cache(maxsize=None)
-def _excitations(N: int) -> np.ndarray:
-    """Excitation number q of every level in the canonical ordering (read-only)."""
-    q = np.array([lvl.q for lvl in level_ordering(N)], dtype=float)
-    q.flags.writeable = False
-    return q
 
 
 def _gauge(N: int, phi_01: float, ndim: int = 1) -> np.ndarray:

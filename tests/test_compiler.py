@@ -482,17 +482,18 @@ def label_advance(vec, params, pulses, pair=None):
     return vec / np.linalg.norm(vec)
 
 
-def pair_rotations(params, seed):
-    """Every fold and g0rot pulse at N, as emitted and inverted, plain and
-    as tilde halves, at seeded phi_01 values: (pair, pulse) tuples."""
+def pair_rotations(params, w, seed):
+    """Every fold and g0rot pulse at N and dressing amplitude w, as emitted
+    and inverted, plain and as tilde halves, at seeded phi_01 values:
+    (pair, pulse) tuples."""
     rng = np.random.default_rng((seed, params.N))
-    rotations = [(_fold_levels(s, q, params), f"fold({'+' if s > 0 else '-'},q={q})")
+    rotations = [(_fold_levels(s, q), f"fold({'+' if s > 0 else '-'},q={q})")
                  for q in range(1, params.N) for s in (+1, -1)]
     rotations += [(((DressedIndex.ground().position(), DressedIndex.branch(s, 1).position()),
-                    s * params.omega_1r / 2),
+                    s / 2),
                    f"g0rot({'+' if s > 0 else '-'})") for s in (+1, -1)]
-    w = params.omega_1r
     for (pair, delta), name in rotations:
+        delta *= w      # the resonances above are at w = 1
         head, _, tail = name.partition("(")
         for ratio, phi in [(1e-3, 0.0), *((r, rng.uniform(-math.pi, math.pi))
                                          for r in (1e-3, 1e-2, 1e-2))]:
@@ -509,11 +510,12 @@ def pair_rotations(params, seed):
                 yield pair, p
 
 
-@pytest.mark.parametrize("params", [ModelParams(2), ModelParams(3), ModelParams(9),
-                                    ModelParams(3, 2.5)], ids=["N2", "N3", "N9", "N3-w2.5"])
-def test_direct_assembly_matches_label_effective_bytes(params):
+@pytest.mark.parametrize("N, w", [(2, 1.0), (3, 1.0), (9, 1.0), (3, 2.5)],
+                         ids=["N2", "N3", "N9", "N3-w2.5"])
+def test_direct_assembly_matches_label_effective_bytes(N, w):
+    params = ModelParams(N)
     count = 0
-    for pair, pulse in pair_rotations(params, seed=31):
+    for pair, pulse in pair_rotations(params, w, seed=31):
         reference = label_effective(params, pulse).tobytes()
         assert _pair_hamiltonian(params, pulse, pair).tobytes() == reference, pulse.label
         assert effective_hamiltonian(params, pulse).tobytes() == reference, pulse.label
@@ -524,7 +526,7 @@ def test_direct_assembly_matches_label_effective_bytes(params):
 @pytest.mark.parametrize("N", [1, 2, 3, 9])
 @pytest.mark.parametrize("omega_1r", [1.0, 0.7])
 def test_cached_doublet_eigensystem_matches_fresh_eigh(N, omega_1r):
-    params = ModelParams(N, omega_1r)
+    params = ModelParams(N)
     for label, phi_1r in (("doublet:z", math.pi), ("doublet:y", math.pi / 2)):
         for pulse in (PulseParams(2.0 / omega_1r, omega_1r, phi_1r, label=label),
                       PulseParams(0.3, omega_1r, phi_1r + math.pi, label="inv:" + label)):

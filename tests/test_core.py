@@ -84,6 +84,20 @@ def test_position_rule_matches_dressed_index():
             assert core._position(s, q) == DressedIndex.branch(s, q).position()
 
 
+@pytest.mark.parametrize("N", [True, False, 2.5, 3.0, "3", None, np.float64(2.0), 0, -1,
+                               np.int64(0)])
+def test_model_params_rejects_what_is_not_an_atom_count(N):
+    with pytest.raises(ValueError, match="atom count"):
+        ModelParams(N)
+
+
+@pytest.mark.parametrize("N", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_model_params_stores_an_integer_atom_count(N):
+    params = ModelParams(N)
+    assert type(params.N) is int
+    assert params == ModelParams(3) and params.dim == 7
+
+
 def test_dressed_index_validation():
     with pytest.raises(ValueError):
         DressedIndex(0, 1)
@@ -125,7 +139,7 @@ def test_pulse_rejects_negative_amplitudes():
 
 @given(N=ns, phi=phases)
 def test_bare_hermitian(N, phi):
-    H = build_bare(ModelParams(N), phi)
+    H = build_bare(ModelParams(N), 1.0, phi)
     assert np.max(np.abs(H - H.conj().T)) <= 1e-12
 
 
@@ -138,7 +152,7 @@ def test_control_hermitian(N, phi, delta):
 @given(N=ns, flip=st.booleans())
 def test_bare_diagonal_matches_ladder_energies(N, flip):
     phi = math.pi if flip else 0.0
-    H = build_bare(ModelParams(N), phi)
+    H = build_bare(ModelParams(N), 1.0, phi)
     assert np.max(np.abs(H - np.diag(np.diag(H)))) <= 1e-12
     for q in range(1, N + 1):
         for s in (-1, 1):
@@ -205,6 +219,20 @@ def test_bloch_vector_orientation():
     assert u == pytest.approx([0.0, 0.0, 1.0])
 
 
+def test_basis_state_rejects_level_above_atom_count():
+    with pytest.raises(ValueError, match=r"level \+,3 needs at least 3 sites, got N=2"):
+        QuditState.basis_state(2, DressedIndex.branch(+1, 3))
+    assert QuditState.basis_state(2, DressedIndex.branch(+1, 2)).amplitudes[4] == 1.0
+
+
+def test_bloch_vector_rejects_level_above_atom_count():
+    state = QuditState.uniform(2)
+    above, minus1 = DressedIndex.branch(+1, 3), DressedIndex.branch(-1, 1)
+    for pair in ((above, minus1), (minus1, above)):
+        with pytest.raises(ValueError, match=r"level \+,3 needs at least 3 sites, got N=2"):
+            bloch_vector(state, pair)
+
+
 def test_state_norm_contract():
     with pytest.raises(ContractViolation):
         QuditState(np.array([1.0, 1.0, 0.0]))
@@ -249,7 +277,7 @@ def test_wrap_phase_rejects_nan_and_infinities():
 def test_build_total_is_sum_of_parts(N, phi1, phi2, delta):
     params = ModelParams(N)
     pulse = PulseParams(1.0, 1.0, phi1, 0.4, phi2, delta)
-    expected = build_bare(params, phi1) + build_control(params, 0.4, wrap_phase(phi2), delta)
+    expected = build_bare(params, 1.0, phi1) + build_control(params, 0.4, wrap_phase(phi2), delta)
     assert np.max(np.abs(build_total(params, pulse) - expected)) <= 1e-12
 
 
@@ -266,13 +294,13 @@ def _ref_pair_block(H, up, down, nx, ny, nz, scale):
     H[down, up] += scale * (nx + 1j * ny)
 
 
-def ref_build_bare(params, phi_1r):
+def ref_build_bare(params, omega_1r, phi_1r):
     H = np.zeros((params.dim, params.dim), dtype=complex)
     nx, ny, nz = 0.0, -math.sin(phi_1r), math.cos(phi_1r)
     for q in range(1, params.N + 1):
         up = DressedIndex.branch(+1, q).position()
         down = DressedIndex.branch(-1, q).position()
-        _ref_pair_block(H, up, down, nx, ny, nz, params.omega_1r * math.sqrt(q) / 2.0)
+        _ref_pair_block(H, up, down, nx, ny, nz, omega_1r * math.sqrt(q) / 2.0)
     return H
 
 
@@ -312,15 +340,16 @@ amplitudes = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 @settings(deadline=None, max_examples=150)
 def test_template_builders_match_reference_bit_for_bit(N, phi_1r, phi_01, delta,
                                                        omega_01, omega_1r):
-    params = ModelParams(N, omega_1r)
+    params = ModelParams(N)
     for phi in (phi_1r, 0.0, math.pi / 2, math.pi):
-        assert build_bare(params, phi).tobytes() == ref_build_bare(params, phi).tobytes()
+        assert (build_bare(params, omega_1r, phi).tobytes()
+                == ref_build_bare(params, omega_1r, phi).tobytes())
     for phi in (phi_01, 0.0, 0.5, math.pi):
         for d in (delta, 0.0):
             got = build_control(params, omega_01, phi, d)
             assert got.tobytes() == ref_build_control(params, omega_01, phi, d).tobytes()
     pulse = PulseParams(1.0, omega_1r, phi_1r, omega_01, phi_01, delta)
-    expected = (ref_build_bare(params, pulse.phi_1r)
+    expected = (ref_build_bare(params, omega_1r, pulse.phi_1r)
                 + ref_build_control(params, omega_01, pulse.phi_01, delta))
     assert build_total(params, pulse).tobytes() == expected.tobytes()
 
@@ -341,9 +370,9 @@ def test_control_element_matches_reference(N, phi_01, omega_01):
 
 def test_templates_cannot_be_poisoned():
     params = ModelParams(4)
-    for H in (build_bare(params, 0.3), build_control(params, 0.2, 0.4, 0.1)):
+    for H in (build_bare(params, 1.0, 0.3), build_control(params, 0.2, 0.4, 0.1)):
         H[...] = 7.0
-    assert build_bare(params, 0.3).tobytes() == ref_build_bare(params, 0.3).tobytes()
+    assert build_bare(params, 1.0, 0.3).tobytes() == ref_build_bare(params, 1.0, 0.3).tobytes()
     assert (build_control(params, 0.2, 0.4, 0.1).tobytes()
             == ref_build_control(params, 0.2, 0.4, 0.1).tobytes())
     template = core._template(params.N)

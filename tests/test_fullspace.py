@@ -284,7 +284,7 @@ def ref_compare_spectrum(g, pulse):
     """The complex Hermitian diagonalization of the full Hamiltonian."""
     B = dressed_frame(g.N)
     w_full, V_full = np.linalg.eigh(build_full_hamiltonian(g, pulse))
-    w_ladder, V_ladder = np.linalg.eigh(build_total(ModelParams(g.N, pulse.omega_1r), pulse))
+    w_ladder, V_ladder = np.linalg.eigh(build_total(ModelParams(g.N), pulse))
     overlaps = np.abs(V_full.conj().T @ (B @ V_ladder)) ** 2
     return float(np.max(np.abs(w_full[np.argmax(overlaps, axis=0)] - w_ladder)))
 
@@ -294,7 +294,7 @@ def ref_compare_evolution(g, pulse, T, initial):
     psi_full = _evolve(build_full_hamiltonian(g, pulse), T, B[:, initial.position()])
     e0 = np.zeros(2 * g.N + 1, dtype=complex)
     e0[initial.position()] = 1.0
-    psi_dressed = B @ _evolve(build_total(ModelParams(g.N, pulse.omega_1r), pulse), T, e0)
+    psi_dressed = B @ _evolve(build_total(ModelParams(g.N), pulse), T, e0)
     return float(abs(np.vdot(psi_full, psi_dressed)))
 
 

@@ -10,7 +10,11 @@ doublet calibrations.  The cases are state prep, a Haar phase gate
 (Phi = -2.3), a uniform phase gate (pi/2) and a readout at N in {1, 2, 3, 5,
 9}, ratio in {1e-3, 1e-2}, plain and tilde folds; Hadamard with and without
 skip_zero_phases at N <= 3 and N = 9, ratio 1e-2; measure_projection with
-plain folds; and one inverted full-control schedule.
+plain folds; and one inverted full-control schedule.  It also prints the
+SHA-256 of build_total's bytes at N in {1, 2, 3, 9}, omega_1r in {0, 0.7,
+1, 2.5} and phi_1r in {0, pi/2, pi, -2}, without and with a control term
+(omega_01 = 0.3, phi_01 = 0.7, delta_01 = 0.2); these calls keep one
+signature across checkouts.
 
 The bits depend on the numpy and LAPACK build, so compare two checkouts on
 one machine, never against a stored file.  BLAS runs on one thread unless
@@ -35,6 +39,10 @@ import sys
 NS = (1, 2, 3, 5, 9)
 RATIOS = (1e-3, 1e-2)
 VARIANTS = ("plain", "tilde")
+HAMILTONIAN_NS = (1, 2, 3, 9)
+OMEGA_1RS = (0.0, 0.7, 1.0, 2.5)
+PHI_1RS = (0.0, math.pi / 2, math.pi, -2.0)
+CONTROLS = {"off": (0.0, 0.0, 0.0), "on": (0.3, 0.7, 0.2)}   # omega_01, phi_01, delta_01
 
 
 def _sha256(data: bytes) -> str:
@@ -88,6 +96,14 @@ def main() -> None:
     forward = rq.compile_full_control(haar(5, 5), rq.CompileOptions(omega_01=1e-2,
                                                                     fold_variant="tilde"))
     digest("inverted full control N=5 ratio=0.01 tilde", rq.invert_full_control(forward))
+    for N in HAMILTONIAN_NS:
+        for omega_1r in OMEGA_1RS:
+            for phi_1r in PHI_1RS:
+                for control, (omega_01, phi_01, delta_01) in CONTROLS.items():
+                    pulse = rq.PulseParams(1.0, omega_1r, phi_1r, omega_01, phi_01, delta_01)
+                    H = rq.build_total(rq.ModelParams(N), pulse)
+                    out[f"build_total N={N} omega_1r={omega_1r!r} phi_1r={phi_1r!r} "
+                        f"control={control}"] = _sha256(H.tobytes())
     out["_phase_calibration"] = repr(compiler._phase_calibration())
     out["_doublet_senses"] = repr(compiler._doublet_senses())
     print(json.dumps(out, indent=1, sort_keys=True))
