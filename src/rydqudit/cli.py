@@ -71,22 +71,21 @@ EXIT_NUMERIC = 3
 
 # ---------------------------------------------------------------- serialization
 
+_PULSE_FIELDS = ("T", "omega_1r", "phi_1r", "omega_01", "phi_01", "delta_01")
+_ENTRY_KEYS = ("label", *_PULSE_FIELDS)
+_pulse_entry = operator.attrgetter(*_ENTRY_KEYS)
+_pulse_values = operator.itemgetter(*_PULSE_FIELDS)
+
+
 def schedule_to_document(schedule: PulseSchedule) -> dict:
     return {
         "format_version": SCHEDULE_FORMAT_VERSION,
         "N": schedule.params.N,
         "unit_note": UNIT_NOTE,
-        "pulses": [
-            {"label": p.label, "T": p.T, "omega_1r": p.omega_1r,
-             "phi_1r": p.phi_1r, "omega_01": p.omega_01,
-             "phi_01": p.phi_01, "delta_01": p.delta_01}
-            for p in schedule.pulses
-        ],
+        "pulses": [dict(zip(_ENTRY_KEYS, _pulse_entry(p))) for p in schedule.pulses],
     }
 
 
-_PULSE_FIELDS = ("T", "omega_1r", "phi_1r", "omega_01", "phi_01", "delta_01")
-_pulse_values = operator.itemgetter(*_PULSE_FIELDS)
 _JSON_NUMBERS = frozenset({int, float})     # exact types: bool is not a JSON number
 
 

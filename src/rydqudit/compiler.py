@@ -493,7 +493,7 @@ def unitary_eigensystem(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Imported here, its only use, so that importing the package skips scipy.
     from scipy.linalg import schur
 
-    U = require_unitary(U, 1e-10)
+    U = require_unitary(U)
     Tm, Z = schur(U, output="complex")
     phases = np.angle(np.diag(Tm))
     order = np.argsort(phases, kind="stable")
@@ -554,7 +554,6 @@ _EDGE_PROFILE = np.sin(math.pi * (np.arange(_EDGE_STEPS) + 0.5) / (2 * _EDGE_STE
 _STEP_GRID = np.arange(1, 501) * 0.01
 
 
-@cache
 def _edge_step(N: int, s: int, q: int) -> float:
     """Step length (units of 1/omega_1r) of a readout fold's edges.
 
@@ -616,19 +615,12 @@ class _ShapedFold:
     pair: tuple[int, int]           # (target, other) positions
     h0: complex                     # resonant coupling element at phi_01 = 0
     h1: complex                     # the same at phi_01 = 0.5
+    rate: float                     # the pair's rotation rate on the flat top
+    edge_angle: float               # the pair's rotation angle under both edges together
     edge: tuple[PulseParams, ...]   # rising edge in time order
     flat: PulseParams               # flat top; its duration is set per fold
     full: _FoldPropagator
     effective: _FoldPropagator
-
-    @property
-    def rate(self) -> float:
-        return 2.0 * abs(self.h0)
-
-    @property
-    def edge_angle(self) -> float:
-        """Rotation angle of the pair under both edges together."""
-        return 2.0 * self.rate * sum(p.T * p.omega_01 for p in self.edge) / self.flat.omega_01
 
     def pulses(self, phi_01: float, T: float) -> tuple[PulseParams, ...]:
         edge = tuple(replace(p, phi_01=phi_01) for p in self.edge)
@@ -658,29 +650,35 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
         return (PulseParams(step, 1.0, 0.0, amplitude * omega_01, 0.0, d, label),
                 hamiltonian(amplitude, d))
 
-    edge = [segment(float(a)) for a in _EDGE_PROFILE]
+    edge, H_edge = zip(*(segment(float(a)) for a in _EDGE_PROFILE))
     flat, H_flat = segment(1.0)
 
     def propagator(model) -> _FoldPropagator:
-        steps = [_propagator(model(H), step) for _, H in edge]
+        steps = [_propagator(model(H), step) for H in H_edge]
         w, V = np.linalg.eigh(model(H_flat))
         return _FoldPropagator(reduce(lambda acc, u: u @ acc, steps),
                                reduce(lambda acc, u: u @ acc, steps[::-1]), w, V, params.N)
 
+    h0 = complex(control[pair])
+    rate = 2.0 * abs(h0)
+    edge_angle = 2.0 * rate * sum(p.T * p.omega_01 for p in edge) / flat.omega_01
     h1 = complex(control_element(params, omega_01, 0.5, *pair))
-    return _ShapedFold(pair, complex(control[pair]), h1,
-                       tuple(p for p, _ in edge), flat, propagator(lambda H: H),
-                       propagator(lambda H: _light_shifted(H, pair)))
+    return _ShapedFold(pair, h0, h1, rate, edge_angle, edge, flat,
+                       propagator(lambda H: H), propagator(lambda H: _light_shifted(H, pair)))
 
 
-def _readout(target: QuditState, opts: CompileOptions) -> tuple[PulseSchedule, np.ndarray]:
-    """Readout schedule of the target and its realized evolution operator."""
+def _readout(target: QuditState, opts: CompileOptions
+             ) -> tuple[list[tuple[_ShapedFold, float, float]], PulseSchedule]:
+    """The target's readout: its emitting folds and the closing doublet schedule.
+
+    Each emitting fold is recorded once as (fold, phi_01, T), its control
+    phase wrapped to (-pi, pi] and T the duration of its flat top.
+    """
     params = ModelParams(target.N)
     if abs(target.amplitudes[0]) > 1e-10:
         raise ContractViolation("readout target must carry no |g,0> amplitude")
     eff = target.amplitudes
-    U = np.eye(params.dim, dtype=complex)
-    pulses: list[PulseParams] = []
+    folds: list[tuple[_ShapedFold, float, float]] = []
     for level in range(params.N, 1, -1):
         for s in (+1, -1):
             fold = _shaped_fold(params, opts.omega_01, s, level - 1)
@@ -692,17 +690,13 @@ def _readout(target: QuditState, opts: CompileOptions) -> tuple[PulseSchedule, n
                 # the edges alone turn too far: go round the other way
                 phi_01, turn = phi_01 + math.pi, TAU - turn
             turn += TAU * math.ceil(max(0.0, fold.edge_angle - turn) / TAU)
-            emitted = fold.pulses(phi_01, (turn - fold.edge_angle) / fold.rate)
-            flat = emitted[len(fold.edge)]
-            eff = fold.effective(flat.phi_01, flat.T, eff)
-            U = fold.full(flat.phi_01, flat.T, U)
-            pulses.extend(emitted)
-    emitted, final = _doublet_pulses(eff / np.linalg.norm(eff), params)
-    pulses.extend(emitted)
-    U = schedule_operator(PulseSchedule(params, emitted)) @ U
+            phi_01, T = wrap_phase(phi_01), (turn - fold.edge_angle) / fold.rate
+            eff = fold.effective(phi_01, T, eff)
+            folds.append((fold, phi_01, T))
+    doublet, final = _doublet_pulses(eff / np.linalg.norm(eff), params)
     if abs(QuditState(final).amplitudes[_MINUS1]) ** 2 < 1.0 - 1e-9:
         raise ContractViolation("readout synthesis failed to concentrate the state")
-    return PulseSchedule(params, tuple(pulses)), U
+    return folds, PulseSchedule(params, doublet)
 
 
 def compile_readout(target: QuditState, opts: CompileOptions) -> PulseSchedule:
@@ -715,21 +709,26 @@ def compile_readout(target: QuditState, opts: CompileOptions) -> PulseSchedule:
     the tracked effective state carries those shifts.  Folds are always
     plain; fold_variant is ignored.
     """
-    return _readout(target, opts)[0]
+    folds, doublet = _readout(target, opts)
+    pulses = [p for fold, phi_01, T in folds for p in fold.pulses(phi_01, T)]
+    return PulseSchedule(doublet.params, tuple(pulses) + doublet.pulses)
 
 
 def measure_projection(state: QuditState, target: QuditState,
                        opts: CompileOptions) -> float:
     """Projective-measurement probability |<target|state>|^2 via simulation.
 
-    Applies the readout schedule of the target (compile_readout), which
-    carries the target onto |-,1>, and reads the |-,1> population of the
-    mapped state.  The schedule is propagated exactly, with each fold's
-    edge products and flat-top eigensystem computed once per fold and
-    control amplitude.
+    Applies the readout of the target (compile_readout), which carries the
+    target onto |-,1>, and reads the |-,1> population of the mapped state.
+    It is propagated exactly from the recorded folds, building no pulse of
+    theirs: each fold's edge products and flat-top eigensystem are computed
+    once per fold and control amplitude.
     """
     if state.N != target.N:
         raise ValueError("state and target dimensions differ")
-    _, U = _readout(target, opts)
-    final = U @ state.amplitudes
+    folds, doublet = _readout(target, opts)
+    U = np.eye(doublet.params.dim, dtype=complex)
+    for fold, phi_01, T in folds:
+        U = fold.full(phi_01, T, U)
+    final = (schedule_operator(doublet) @ U) @ state.amplitudes
     return float(abs(final[_MINUS1]) ** 2)

@@ -67,13 +67,18 @@ class DressedIndex:
     """One level of the dressed ladder: the ground level or a branch |sign,q>.
 
     ``q = 0`` with ``sign = 0`` denotes |g,0>; otherwise ``sign`` is +1 or -1
-    and ``1 <= q``.
+    and ``1 <= q``; both are integers (not bool), stored as int.
     """
 
     q: int
     sign: int
 
     def __post_init__(self) -> None:
+        for name in ("q", "sign"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"dressed index {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.q == 0:
             if self.sign != 0:
                 raise ValueError("the ground level carries no branch sign")
@@ -254,12 +259,10 @@ class _Template:
     Indices are flat offsets into a (2N+1) x (2N+1) matrix.  Control pair k
     puts its coefficient ``coef[k]`` (K_N^q, -Q_N^q or +/-sqrt(N/2)) at
     (up, down), offset ``pair[k]``, and its conjugate at (down, up), offset
-    ``pair_t[k]``; ``pairs`` maps (up, down) positions back to k.
-    ``excited`` holds the diagonal offsets of the |s,q> levels and ``q``
-    their excitation numbers, both read from _excitations.  Doublet q of the
-    bare part has the diagonal offsets ``plus[q-1]`` and ``minus[q-1]``, the
-    coupling offsets ``plus_minus[q-1]`` and ``minus_plus[q-1]`` and the scale
-    ``sqrt_q[q-1]``.
+    ``pair_t[k]``; ``pairs`` maps (up, down) positions back to k.  Doublet
+    q of the bare part has the diagonal offsets ``plus[q-1]`` and
+    ``minus[q-1]``, the coupling offsets ``plus_minus[q-1]`` and
+    ``minus_plus[q-1]`` and the scale ``sqrt_q[q-1]``.
     All arrays are read-only.
     """
 
@@ -267,8 +270,6 @@ class _Template:
     pair_t: np.ndarray
     coef: np.ndarray
     pairs: dict
-    excited: np.ndarray
-    q: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
     plus_minus: np.ndarray
@@ -292,8 +293,6 @@ def _template(N: int) -> _Template:
             pairs[up, _position(s, q)] = coupling_K(N, q)
             pairs[up, _position(-s, q)] = -coupling_Q(N, q)
         pairs[_position(s, 1), 0] = s * math.sqrt(N / 2.0)
-    levels = _excitations(N)
-    excited = np.flatnonzero(levels)
     plus = [_position(+1, q) for q in range(1, N + 1)]
     minus = [_position(-1, q) for q in range(1, N + 1)]
     return _Template(
@@ -301,8 +300,6 @@ def _template(N: int) -> _Template:
         pair_t=_frozen([d * dim + u for u, d in pairs], int),
         coef=_frozen(list(pairs.values()), float),
         pairs={pair: k for k, pair in enumerate(pairs)},
-        excited=_frozen(excited * (dim + 1), int),
-        q=_frozen(levels[excited], float),
         plus=_frozen([p * (dim + 1) for p in plus], int),
         minus=_frozen([m * (dim + 1) for m in minus], int),
         plus_minus=_frozen([p * dim + m for p, m in zip(plus, minus)], int),
@@ -354,7 +351,8 @@ def build_control(params: ModelParams, omega_01: float, phi_01: float,
     scale = omega_01 / 2.0 * t.coef
     flat[t.pair] += scale * (nx - 1j * ny)
     flat[t.pair_t] += scale * (nx + 1j * ny)
-    flat[t.excited] -= delta_01 * t.q
+    # the diagonal of the |s,q> levels: every (dim + 1)-th element after |g,0>
+    flat[params.dim + 1::params.dim + 1] -= delta_01 * _excitations(params.N)[1:]
     return H
 
 
@@ -454,12 +452,12 @@ def hadamard_target(N: int) -> np.ndarray:
     return U
 
 
-def require_unitary(U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate a square complex matrix as unitary within tol (max-abs)."""
+def require_unitary(U: np.ndarray) -> np.ndarray:
+    """Validate a square complex matrix as unitary within 1e-10 (max-abs)."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     dev = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
-    if not dev <= tol:     # so that a NaN deviation fails too
+    if not dev <= 1e-10:     # so that a NaN deviation fails too
         raise ContractViolation(f"matrix deviates from unitarity by {dev:.3e}")
     return U

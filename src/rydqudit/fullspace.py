@@ -44,6 +44,19 @@ def blockade_radius(C6: float, omega_1r: float) -> float:
     return (abs(C6) / omega_1r) ** (1.0 / 6.0)
 
 
+def _number(name: str, value) -> float:
+    """A finite geometry number as a float; a bool, a string, None or any other value raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"geometry field {name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:       # a Python integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"geometry field {name} must be finite")
+    return number
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Atom positions (units of the spacing a) with interaction parameters.
@@ -51,6 +64,7 @@ class Geometry:
     C6 carries units of omega_1r * a^6, so pairwise interactions come out in
     omega_1r units directly from the coordinate distances.  d is the array's
     dimensionality: the sites' affine span may not have more dimensions.
+    The positions, a, wavelength and C6 are numbers (not bool), stored as float.
     """
 
     positions: tuple[tuple[float, float, float], ...]
@@ -60,14 +74,11 @@ class Geometry:
     d: int
 
     def __post_init__(self) -> None:
-        pos = tuple(tuple(float(c) for c in p) for p in self.positions)
+        pos = tuple(tuple(_number("positions", c) for c in p) for p in self.positions)
         if not pos or any(len(p) != 3 for p in pos):
             raise ValueError("positions must be a nonempty list of 3-vectors")
-        if not all(math.isfinite(c) for p in pos for c in p):
-            raise ValueError("positions must be finite")
         for name in ("a", "wavelength", "C6"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"geometry parameter {name} must be finite")
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         sites = np.array(pos)
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
@@ -99,8 +110,7 @@ class Geometry:
     def from_dict(cls, doc: dict) -> "Geometry":
         try:
             return cls(tuple(tuple(p) for p in doc["positions"]),
-                       float(doc["a"]), float(doc["lambda"]),
-                       float(doc["C6"]), doc["d"])
+                       doc["a"], doc["lambda"], doc["C6"], doc["d"])
         except KeyError as exc:
             raise ValueError(f"geometry document missing key {exc}") from exc
         except TypeError as exc:
@@ -256,23 +266,16 @@ def dressed_frame(N: int) -> np.ndarray:
     return B
 
 
-def _real_gauge(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.ndarray]:
-    """Real H0 and unit diagonal d with build_full_hamiltonian = diag(d) H0 diag(d)^dag.
+def _gauge_diagonal(g: Geometry, pulse: PulseParams) -> np.ndarray:
+    """Unit diagonal d with build_full_hamiltonian = diag(d) H0 diag(d)^dag.
 
     Every |1><0| coupling carries e^{-i phi_01} and every |r><1| coupling
-    e^{-i phi_1r}, and the rest of H is diagonal, so with both phases zero H0
-    is real and d = e^{-i (phi_01 n_exc + phi_1r n_r)} per configuration,
-    n_exc counting the sites not in |0> and n_r those in |r>.  Real symmetric
-    eigh of H0 is several times cheaper than complex Hermitian eigh of H.
-    H0 is assembled real in place, so its build holds no complex 3^N matrix:
-    the only 3^N x 3^N array is H0 itself (344 MB at N=8).
+    e^{-i phi_1r}, and the rest of H is diagonal, so H0, the Hamiltonian
+    with both phases zero, is real and d = e^{-i (phi_01 n_exc + phi_1r n_r)}
+    per configuration, n_exc counting the sites not in |0> and n_r those in
+    |r>.  Real symmetric eigh of H0 is several times cheaper than complex
+    Hermitian eigh of H.
     """
-    H0 = _assemble(g, replace(pulse, phi_1r=0.0, phi_01=0.0), float)
-    return H0, _gauge_diagonal(g, pulse)
-
-
-def _gauge_diagonal(g: Geometry, pulse: PulseParams) -> np.ndarray:
-    """The diagonal d of _real_gauge, from the pulse's two phases."""
     levels = _site_levels(g.N)
     n_exc = np.count_nonzero(levels, axis=1)
     n_r = np.count_nonzero(levels == 2, axis=1)
@@ -284,7 +287,7 @@ _eigensystem: Optional[tuple] = None
 
 
 def _real_eigensystem(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenvalues w and eigenvectors V0 of the real H0 of _real_gauge.
+    """Read-only eigenvalues w and eigenvectors V0 of the real H0 of _gauge_diagonal.
 
     H0 does not depend on the laser phases, T or the label, so the result is
     kept for the next call with the same geometry, omega_1r, omega_01 and
@@ -300,7 +303,7 @@ def _real_eigensystem(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.n
     if slot is not None and slot[0] == key:
         return slot[1]
     _eigensystem = slot = None      # the last references to the old arrays
-    w, V0 = np.linalg.eigh(_real_gauge(g, pulse)[0])
+    w, V0 = np.linalg.eigh(_assemble(g, replace(pulse, phi_1r=0.0, phi_01=0.0), float))
     w.flags.writeable = False
     V0.flags.writeable = False
     _eigensystem = (key, (w, V0))

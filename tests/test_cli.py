@@ -446,6 +446,33 @@ def test_validate_rejects_non_finite_and_non_integer_geometry(runner, tmp_path, 
     assert not (tmp_path / "v.json").exists()
 
 
+@pytest.mark.parametrize("change,field", [
+    ({"C6": "1e4"}, "C6"),
+    ({"a": "1.0"}, "a"),
+    ({"lambda": True}, "wavelength"),
+    ({"C6": None}, "C6"),
+    ({"positions": [[0, 0, 0], ["1", True, 0], [0.5, 0.8, 0]]}, "positions"),
+    ({"positions": [[0, 0, 0], [1, None, 0], [0.5, 0.8, 0]]}, "positions"),
+], ids=["string-C6", "string-a", "bool-lambda", "null-C6", "string-position",
+        "null-position"])
+def test_validate_rejects_geometry_values_that_are_not_json_numbers(runner, tmp_path, change,
+                                                                    field):
+    geom_path = tmp_path / "g.json"
+    geom_path.write_text(json.dumps({**TRIANGLE, **change}))
+    res = runner.invoke(main, ["validate", str(geom_path), "-o", str(tmp_path / "v.json")])
+    assert res.exit_code == 2, res.output
+    assert f"geometry field {field} must be a number" in res.output
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_validate_rejects_a_geometry_integer_beyond_the_float_range(runner, tmp_path):
+    geom_path = tmp_path / "g.json"
+    geom_path.write_text(json.dumps({**TRIANGLE, "C6": 10**400}))
+    res = runner.invoke(main, ["validate", str(geom_path), "-o", str(tmp_path / "v.json")])
+    assert res.exit_code == 2, res.output
+    assert "geometry field C6 must be finite" in res.output
+
+
 def test_validate_rejects_sites_spanning_more_than_d(runner, tmp_path):
     geom_path = tmp_path / "g.json"
     geom_path.write_text(json.dumps({**TRIANGLE, "d": 1}))

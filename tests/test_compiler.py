@@ -149,6 +149,26 @@ def test_schedules_are_compiled_without_dressed_index_objects(monkeypatch):
     assert calls == []
 
 
+def test_measure_projection_builds_no_readout_pulses(monkeypatch):
+    # the readout's folds are propagated from their records, not from pulses
+    N = 4
+    opts = CompileOptions(omega_01=1e-2)
+    target, state = random_qudit_state(N, 7), random_qudit_state(N, 8)
+    warm = measure_projection(state, target, opts)
+    labels = []
+    original = PulseParams.__post_init__
+
+    def counting(self):
+        labels.append(self.label)
+        original(self)
+
+    monkeypatch.setattr(PulseParams, "__post_init__", counting)
+    assert measure_projection(state, target, opts) == warm
+    assert not any(label.endswith(":shaped") for label in labels)
+    compile_readout(target, opts)       # which the counter does see
+    assert any(label.endswith(":shaped") for label in labels)
+
+
 @pytest.mark.parametrize("variant", ["plain", "tilde"])
 @pytest.mark.parametrize("seed", range(4))
 def test_full_control_effective_exactness(variant, seed):

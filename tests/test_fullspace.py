@@ -23,8 +23,8 @@ from rydqudit.fullspace import (
     FULLSPACE_SITE_CAP,
     Geometry,
     _assemble,
+    _gauge_diagonal,
     _real_eigensystem,
-    _real_gauge,
     _site_levels,
     blockade_radius,
     build_full_hamiltonian,
@@ -332,7 +332,8 @@ def test_embedding_matches_reference_bit_for_bit():
 @given(g=fs_geometries, pulse=fs_pulses)
 @settings(deadline=None, max_examples=40)
 def test_real_gauge_reproduces_full_hamiltonian(g, pulse):
-    H0, d = _real_gauge(g, pulse)
+    H0 = _assemble(g, replace(pulse, phi_1r=0.0, phi_01=0.0), float)
+    d = _gauge_diagonal(g, pulse)
     assert H0.dtype == np.float64
     assert np.max(np.abs(np.abs(d) - 1.0)) <= 1e-15
     H = build_full_hamiltonian(g, pulse)
@@ -357,7 +358,7 @@ def test_real_gauge_oracle_matches_complex_diagonalization(g):
 @settings(deadline=None, max_examples=40)
 def test_real_gauge_is_the_real_part_of_the_zero_phase_hamiltonian_bit_for_bit(g, pulse):
     zero = replace(pulse, phi_1r=0.0, phi_01=0.0)
-    assert _real_gauge(g, pulse)[0].tobytes() == build_full_hamiltonian(g, zero).real.tobytes()
+    assert _assemble(g, zero, float).tobytes() == build_full_hamiltonian(g, zero).real.tobytes()
 
 
 def test_real_assembly_needs_zero_phases():
@@ -367,10 +368,11 @@ def test_real_assembly_needs_zero_phases():
 
 def test_real_gauge_allocates_little_beyond_h0():
     g, pulse = random_geometry(6, 8, 1e4), PulseParams(1.0, 1.0, 0.4, 1e-2, 0.9, 0.1)
+    zero = replace(pulse, phi_1r=0.0, phi_01=0.0)
     _site_levels(g.N)
     tracemalloc.start()
     try:
-        H0, _ = _real_gauge(g, pulse)
+        H0 = _assemble(g, zero, float)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -394,6 +396,10 @@ GEOMETRY_FIELDS = dict(positions=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), a=1.0,
     ("positions", ((0.0, 0.0, 0.0), (0.0, math.inf, 0.0))),
     ("a", math.inf), ("wavelength", math.inf), ("C6", math.nan), ("C6", -math.inf),
     ("d", 1.5), ("d", True), ("d", "2"),
+    ("a", "1.0"), ("a", True), ("wavelength", None), ("C6", "1e4"), ("C6", np.bool_(True)),
+    ("positions", ((0.0, 0.0, 0.0), ("1", True, 0.0))),
+    ("positions", ((0.0, 0.0, 0.0), (1.0, None, 0.0))),
+    pytest.param("C6", 10**400, id="C6-beyond-float-range"),
 ])
 def test_geometry_rejects_non_finite_and_non_integer_inputs(name, value):
     with pytest.raises(ValueError):
@@ -402,6 +408,13 @@ def test_geometry_rejects_non_finite_and_non_integer_inputs(name, value):
     doc["lambda" if name == "wavelength" else name] = value
     with pytest.raises(ValueError):
         Geometry.from_dict(doc)
+
+
+def test_geometry_stores_its_numbers_as_floats():
+    g = Geometry(((0, 0, 0), (np.int64(1), 0, 0)), 1, np.float32(0.5), np.int64(10**4), 1)
+    assert {type(c) for p in g.positions for c in p} == {float}
+    assert type(g.a) is type(g.wavelength) is type(g.C6) is float
+    assert g == Geometry(**GEOMETRY_FIELDS)
 
 
 @pytest.mark.parametrize("separation,message", [

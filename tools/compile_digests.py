@@ -13,8 +13,11 @@ skip_zero_phases at N <= 3 and N = 9, ratio 1e-2; measure_projection with
 plain folds; and one inverted full-control schedule.  It also prints the
 SHA-256 of build_total's bytes at N in {1, 2, 3, 9}, omega_1r in {0, 0.7,
 1, 2.5} and phi_1r in {0, pi/2, pi, -2}, without and with a control term
-(omega_01 = 0.3, phi_01 = 0.7, delta_01 = 0.2); these calls keep one
-signature across checkouts.
+(omega_01 = 0.3, phi_01 = 0.7, delta_01 = 0.2), and float.hex of the 3^N
+oracle's compare_spectrum and compare_evolution (T = 10 from |-,1>) for the
+equilateral triangle at C6 = 1e3 and a seeded jittered 2x2 square at C6 =
+1e4, under a pulse with nonzero phi_1r, phi_01 and delta_01.  These calls
+keep one signature across checkouts.
 
 The bits depend on the numpy and LAPACK build, so compare two checkouts on
 one machine, never against a stored file.  BLAS runs on one thread unless
@@ -43,6 +46,7 @@ HAMILTONIAN_NS = (1, 2, 3, 9)
 OMEGA_1RS = (0.0, 0.7, 1.0, 2.5)
 PHI_1RS = (0.0, math.pi / 2, math.pi, -2.0)
 CONTROLS = {"off": (0.0, 0.0, 0.0), "on": (0.3, 0.7, 0.2)}   # omega_01, phi_01, delta_01
+ORACLE_PULSE = (1.0, 1.0, 0.7, 1e-2, -2.1, 0.2)   # T, omega_1r, phi_1r, omega_01, phi_01, delta_01
 
 
 def _sha256(data: bytes) -> str:
@@ -104,6 +108,21 @@ def main() -> None:
                     H = rq.build_total(rq.ModelParams(N), pulse)
                     out[f"build_total N={N} omega_1r={omega_1r!r} phi_1r={phi_1r!r} "
                         f"control={control}"] = _sha256(H.tobytes())
+    h = math.sqrt(3) / 2
+    jitter = np.random.default_rng(7).uniform(-0.1, 0.1, size=(4, 2))
+    geometries = {
+        "triangle C6=1e3": rq.Geometry(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, h, 0.0)),
+                                       1.0, 0.5, 1e3, 2),
+        "jittered square seed=7 C6=1e4": rq.Geometry(
+            tuple((float(x + dx), float(y + dy), 0.0)
+                  for (x, y), (dx, dy) in zip(((0, 0), (1, 0), (0, 1), (1, 1)), jitter)),
+            1.0, 0.5, 1e4, 2),
+    }
+    pulse = rq.PulseParams(*ORACLE_PULSE)
+    for name, g in geometries.items():
+        out[f"compare_spectrum {name}"] = float.hex(rq.compare_spectrum(g, pulse))
+        out[f"compare_evolution {name}"] = float.hex(
+            rq.compare_evolution(g, pulse, 10.0, rq.DressedIndex.branch(-1, 1)))
     out["_phase_calibration"] = repr(compiler._phase_calibration())
     out["_doublet_senses"] = repr(compiler._doublet_senses())
     print(json.dumps(out, indent=1, sort_keys=True))
