@@ -32,7 +32,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -610,7 +610,11 @@ class _FoldPropagator:
 
 @dataclass(frozen=True, eq=False)
 class _ShapedFold:
-    """One readout fold's pulses at phi_01 = 0 and its cached evolution."""
+    """One readout fold's pulses at phi_01 = 0 and its cached evolution.
+
+    Each model's propagator is built on first use: compile_readout evolves
+    only the effective model, and a fold that emits nothing needs neither.
+    """
 
     pair: tuple[int, int]           # (target, other) positions
     h0: complex                     # resonant coupling element at phi_01 = 0
@@ -619,12 +623,36 @@ class _ShapedFold:
     edge_angle: float               # the pair's rotation angle under both edges together
     edge: tuple[PulseParams, ...]   # rising edge in time order
     flat: PulseParams               # flat top; its duration is set per fold
-    full: _FoldPropagator
-    effective: _FoldPropagator
+    bare: np.ndarray                # the steps' bare Hamiltonian
+    control: np.ndarray             # their control term at full amplitude, phi_01 = 0
 
     def pulses(self, phi_01: float, T: float) -> tuple[PulseParams, ...]:
         edge = tuple(replace(p, phi_01=phi_01) for p in self.edge)
         return edge + (replace(self.flat, T=T, phi_01=phi_01),) + edge[::-1]
+
+    @cached_property
+    def full(self) -> _FoldPropagator:
+        return self._propagator(lambda H: H)
+
+    @cached_property
+    def effective(self) -> _FoldPropagator:
+        return self._propagator(lambda H: _light_shifted(H, self.pair))
+
+    def _propagator(self, model) -> _FoldPropagator:
+        steps = [_propagator(model(_step_hamiltonian(self.bare, self.control, float(a),
+                                                     p.delta_01)), p.T)
+                 for a, p in zip(_EDGE_PROFILE, self.edge)]
+        w, V = np.linalg.eigh(model(_step_hamiltonian(self.bare, self.control, 1.0,
+                                                      self.flat.delta_01)))
+        return _FoldPropagator(reduce(lambda acc, u: u @ acc, steps),
+                               reduce(lambda acc, u: u @ acc, steps[::-1]), w, V,
+                               len(self.bare) // 2)
+
+
+def _step_hamiltonian(bare: np.ndarray, control: np.ndarray, amplitude: float,
+                      d: float) -> np.ndarray:
+    """build_total at phi_01 = 0 of a readout step, assembled from its linear parts."""
+    return bare + amplitude * control - np.diag(d * _excitations(len(bare) // 2))
 
 
 @lru_cache(maxsize=256)
@@ -632,39 +660,25 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
     pair, delta = _fold_levels(s, q)
     step = _edge_step(params.N, s, q)
     label = f"fold({_sgn(s)},q={q}){_SHAPED}"
-    levels = _excitations(params.N)
     bare = build_total(params, PulseParams(step, 1.0))
     control = build_control(params, omega_01, 0.0, 0.0)
 
-    def hamiltonian(amplitude: float, d: float) -> np.ndarray:
-        # build_total at phi_01 = 0, assembled from its linear parts
-        return bare + amplitude * control - np.diag(d * levels)
-
-    def segment(amplitude: float) -> tuple[PulseParams, np.ndarray]:
+    def segment(amplitude: float) -> PulseParams:
         # Newton on the pair's light-shifted gap, whose slope in delta_01 is 1
         d = delta
         for _ in range(3):
-            H = hamiltonian(amplitude, d)
+            H = _step_hamiltonian(bare, control, amplitude, d)
             shifted = np.real(np.diag(H)) + _light_shifts(H, pair)
             d -= shifted[pair[0]] - shifted[pair[1]]
-        return (PulseParams(step, 1.0, 0.0, amplitude * omega_01, 0.0, d, label),
-                hamiltonian(amplitude, d))
+        return PulseParams(step, 1.0, 0.0, amplitude * omega_01, 0.0, d, label)
 
-    edge, H_edge = zip(*(segment(float(a)) for a in _EDGE_PROFILE))
-    flat, H_flat = segment(1.0)
-
-    def propagator(model) -> _FoldPropagator:
-        steps = [_propagator(model(H), step) for H in H_edge]
-        w, V = np.linalg.eigh(model(H_flat))
-        return _FoldPropagator(reduce(lambda acc, u: u @ acc, steps),
-                               reduce(lambda acc, u: u @ acc, steps[::-1]), w, V, params.N)
-
+    edge = tuple(segment(float(a)) for a in _EDGE_PROFILE)
+    flat = segment(1.0)
     h0 = complex(control[pair])
     rate = 2.0 * abs(h0)
     edge_angle = 2.0 * rate * sum(p.T * p.omega_01 for p in edge) / flat.omega_01
     h1 = complex(control_element(params, omega_01, 0.5, *pair))
-    return _ShapedFold(pair, h0, h1, rate, edge_angle, edge, flat,
-                       propagator(lambda H: H), propagator(lambda H: _light_shifted(H, pair)))
+    return _ShapedFold(pair, h0, h1, rate, edge_angle, edge, flat, bare, control)
 
 
 def _readout(target: QuditState, opts: CompileOptions

@@ -169,6 +169,25 @@ def test_measure_projection_builds_no_readout_pulses(monkeypatch):
     assert any(label.endswith(":shaped") for label in labels)
 
 
+def test_readout_builds_each_fold_propagator_on_first_use():
+    # compile_readout evolves the effective model only, measure_projection the
+    # full one as well, and a fold that emits nothing needs neither
+    N = 4
+    opts = CompileOptions(omega_01=1e-2)
+    target, state = random_qudit_state(N, 7), random_qudit_state(N, 8)
+    compiler._shaped_fold.cache_clear()
+    compile_readout(QuditState.basis_state(N, DressedIndex.branch(-1, 1)), opts)
+    idle = [compiler._shaped_fold(ModelParams(N), opts.omega_01, s, q)
+            for s in (+1, -1) for q in range(1, N)]
+    assert not any({"full", "effective"} & set(vars(fold)) for fold in idle)
+    compile_readout(target, opts)
+    folds = [fold for fold, _, _ in compiler._readout(target, opts)[0]]
+    assert folds and not any("full" in vars(fold) for fold in folds)
+    assert all("effective" in vars(fold) for fold in folds)
+    measure_projection(state, target, opts)
+    assert all("full" in vars(fold) for fold in folds)
+
+
 @pytest.mark.parametrize("variant", ["plain", "tilde"])
 @pytest.mark.parametrize("seed", range(4))
 def test_full_control_effective_exactness(variant, seed):

@@ -1,6 +1,7 @@
 """Piecewise-exact propagation against an adaptive integrator oracle."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 
@@ -21,11 +22,11 @@ from rydqudit.core import (
     hadamard_target,
 )
 from rydqudit.propagator import (
+    _CHUNK,
     PulseSchedule,
     _evolve,
     _propagate,
     _gauge,
-    _schedule_evolver,
     evolve_pulse,
     extract_gate,
     interaction_frame,
@@ -233,9 +234,25 @@ def test_interaction_frame_matches_per_sample_reference_bit_for_bit(schedule, sa
     assert framed.boundary_indices == traj.boundary_indices
 
 
+def reference_evolver(params):
+    # one eigh of its own per distinct key, taken at the key's first pulse;
+    # a later pulse of the key reaches it through the gauge of its phase difference
+    table = {}
+
+    def evolve(pulse, T, X):
+        key = (pulse.omega_1r, pulse.phi_1r, pulse.omega_01, pulse.delta_01)
+        if key not in table:
+            table[key] = (pulse.phi_01, *np.linalg.eigh(build_total(params, pulse)))
+        phi_01, w, V = table[key]
+        z = _gauge(params.N, pulse.phi_01 - phi_01, X.ndim)
+        return z * _propagate(w, V, T, z.conj() * X)
+
+    return evolve
+
+
 def reference_samples(psi, schedule, samples):
     # one scalar evolve per sample: the chain of boundary states and, apart, the interior
-    evolve = _schedule_evolver(schedule.params)
+    evolve = reference_evolver(schedule.params)
     chain, interior = [psi], []
     for p in schedule.pulses:
         if p.T != 0.0:
@@ -308,19 +325,24 @@ def count_eigh(monkeypatch):
     return calls
 
 
+def diagonalised(calls):
+    # matrices, not calls: a stacked eigh diagonalises its leading dimensions
+    return sum(math.prod(shape[:-2]) for shape in calls)
+
+
 def test_schedule_operator_makes_one_eigh_per_distinct_key(monkeypatch):
     schedule = hadamard_schedule(3)
     keys = distinct_keys(schedule)
     assert (len(schedule), len(keys)) == (80, 14)
     calls = count_eigh(monkeypatch)
     schedule_operator(schedule)
-    assert len(calls) == len(keys)
+    assert diagonalised(calls) == len(keys)
     # the table lives for one call: a second call diagonalises again
     schedule_operator(schedule)
-    assert len(calls) == 2 * len(keys)
+    assert diagonalised(calls) == 2 * len(keys)
     del calls[:]
     run_schedule(QuditState.uniform(3), schedule, samples_per_pulse=2)
-    assert len(calls) == len(keys)
+    assert diagonalised(calls) == len(keys)
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -340,6 +362,68 @@ def test_repeated_key_at_other_phases_matches_per_pulse_eigh():
     assert len(distinct_keys(schedule)) == 1
     U = schedule_operator(schedule)
     assert np.max(np.abs(U - reference_operator(schedule))) <= 1e-12
+
+
+# --- chunked products --------------------------------------------------------
+
+
+def chunk_schedule(n, seed, keys):
+    # n non-zero pulses cycling through `keys` random keys, each at its own
+    # phi_01 and T, with a zero-duration pulse of random parameters leading
+    # and after every third one
+    rng = np.random.default_rng((seed, n))
+    N = int(rng.integers(1, 5))
+    bases = [random_pulse(rng) for _ in range(keys)]
+    pulses = []
+    for i in range(n):
+        base = bases[i % keys]
+        pulses.append(replace(base, phi_01=float(rng.uniform(-math.pi, math.pi)),
+                              T=float(rng.uniform(0.1, 8.0))))
+        if i % 3 == 2:
+            pulses.append(replace(random_pulse(rng), T=0.0))
+    return PulseSchedule(ModelParams(N), [replace(random_pulse(rng), T=0.0)] + pulses)
+
+
+CHUNK_LENGTHS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+@pytest.mark.parametrize("keys", [1, 3, None], ids=["one-key", "three-keys", "all-distinct"])
+@pytest.mark.parametrize("n", CHUNK_LENGTHS)
+def test_chunked_operator_matches_per_pulse_eigh(n, keys):
+    schedule = chunk_schedule(n, 23, keys or max(n, 1))
+    assert sum(p.T != 0.0 for p in schedule.pulses) == n
+    assert len(distinct_keys(schedule)) == min(n, keys or n)
+    U = schedule_operator(schedule)
+    assert np.max(np.abs(U - reference_operator(schedule))) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 4])
+def test_schedule_without_nonzero_pulses_is_the_exact_identity(N):
+    identity = np.eye(2 * N + 1, dtype=complex)
+    for pulses in ((), (PulseParams(0.0, 1.0, 0.3, 0.2, 0.1, -0.4),) * 3):
+        U = schedule_operator(PulseSchedule(ModelParams(N), pulses))
+        assert U.dtype == complex and U.tobytes() == identity.tobytes()
+
+
+def traced_peak(schedule):
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    schedule_operator(schedule)
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+def test_schedule_operator_memory_does_not_grow_with_length():
+    schedule = hadamard_schedule(9)
+    assert len(schedule) == 668
+    tracemalloc.start()
+    try:
+        schedule_operator(schedule)     # fills the builders' caches
+        single = traced_peak(schedule)
+        double = traced_peak(schedule.concat(schedule))
+    finally:
+        tracemalloc.stop()
+    assert single <= 2 * 2 ** 20
+    assert double <= 1.1 * single
 
 
 @given(N=st.integers(1, 12),

@@ -1,6 +1,7 @@
 """Digests of what the compiler emits, to compare two checkouts bit for bit.
 
-Usage: python3 tools/compile_digests.py [CHECKOUT_ROOT]
+Usage: python3 tools/compile_digests.py [CHECKOUT_ROOT] [--dump FILE.npz]
+       python3 tools/compile_digests.py --compare PARENT.npz CHANGE.npz
 
 Imports rydqudit from CHECKOUT_ROOT/src (default: the checkout holding this
 script) and prints one JSON object with one entry per case: the SHA-256 of
@@ -27,8 +28,19 @@ the environment says otherwise:
     python3 tools/compile_digests.py ../parent > parent.json
     python3 tools/compile_digests.py > change.json
     cmp parent.json change.json
+
+A change that moves operators by rounding changes their digests.  --dump
+also writes each case's operator and each measure_projection value to an
+.npz file, and --compare reads two such files and prints, as JSON, the
+largest max |dU| over the operators and the largest |dp| over the
+measurements, the case where each occurs, and how many moved at all:
+
+    python3 tools/compile_digests.py ../parent --dump parent.npz > parent.json
+    python3 tools/compile_digests.py --dump change.npz > change.json
+    python3 tools/compile_digests.py --compare parent.npz change.npz
 """
 
+import argparse
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -47,15 +59,45 @@ OMEGA_1RS = (0.0, 0.7, 1.0, 2.5)
 PHI_1RS = (0.0, math.pi / 2, math.pi, -2.0)
 CONTROLS = {"off": (0.0, 0.0, 0.0), "on": (0.3, 0.7, 0.2)}   # omega_01, phi_01, delta_01
 ORACLE_PULSE = (1.0, 1.0, 0.7, 1e-2, -2.1, 0.2)   # T, omega_1r, phi_1r, omega_01, phi_01, delta_01
+_MEASURE = "measure_projection "   # name prefix of the measurement cases
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def compare(parent_path: str, change_path: str) -> None:
+    """Print the largest operator and measurement moves between two dumps."""
+    import numpy as np
+
+    with np.load(parent_path) as parent, np.load(change_path) as change:
+        unmatched = sorted(set(parent.files) ^ set(change.files))
+        if unmatched:
+            sys.exit(f"the dumps hold different cases: {unmatched}")
+        report = {}
+        for kind, label, measured in (("operators", "max_abs_dU", False),
+                                      ("measurements", "max_abs_dp", True)):
+            names = sorted(n for n in parent.files if n.startswith(_MEASURE) == measured)
+            moves = {n: float(np.max(np.abs(change[n] - parent[n]))) for n in names}
+            worst = max(names, key=moves.__getitem__)
+            report[kind] = {"cases": len(names), "moved": sum(m != 0.0 for m in moves.values()),
+                            label: moves[worst], "worst_case": worst}
+    print(json.dumps(report, indent=1))
+
+
 def main() -> None:
-    root = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), "..")
-    src = os.path.abspath(os.path.join(root, "src"))
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("root", nargs="?", default=os.path.join(os.path.dirname(__file__), ".."),
+                        help="checkout whose src/ to import (default: this script's)")
+    parser.add_argument("--dump", metavar="FILE.npz",
+                        help="also write each operator and measurement to this file")
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT.npz", "CHANGE.npz"),
+                        help="compare two dumps instead of computing digests")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    src = os.path.abspath(os.path.join(args.root, "src"))
     sys.path.insert(0, src)
     import numpy as np
     import rydqudit as rq
@@ -72,11 +114,13 @@ def main() -> None:
         return rq.QuditState.from_vector(v, normalize=True)
 
     out = {}
+    values = {}     # each case's operator or measurement, for --dump
 
     def digest(name: str, schedule: rq.PulseSchedule) -> None:
+        values[name] = rq.schedule_operator(schedule)
         out[name] = {
             "schedule_sha256": _sha256(schedule_to_json(schedule).encode()),
-            "operator_sha256": _sha256(rq.schedule_operator(schedule).tobytes()),
+            "operator_sha256": _sha256(values[name].tobytes()),
         }
 
     for N in NS:
@@ -90,8 +134,9 @@ def main() -> None:
                        rq.compile_phase_gate(rq.QuditState.uniform(N), math.pi / 2, opts))
                 digest(f"readout {case}", rq.compile_readout(haar(N, 3), opts))
             opts = rq.CompileOptions(omega_01=ratio)
-            out[f"measure_projection N={N} ratio={ratio!r}"] = float.hex(
-                rq.measure_projection(haar(N, 4), haar(N, 3), opts))
+            name = f"{_MEASURE}N={N} ratio={ratio!r}"
+            values[name] = rq.measure_projection(haar(N, 4), haar(N, 3), opts)
+            out[name] = float.hex(values[name])
     for N in (1, 2, 3, 9):
         for skip in (False, True):
             opts = rq.CompileOptions(omega_01=1e-2, skip_zero_phases=skip)
@@ -126,6 +171,8 @@ def main() -> None:
     out["_phase_calibration"] = repr(compiler._phase_calibration())
     out["_doublet_senses"] = repr(compiler._doublet_senses())
     print(json.dumps(out, indent=1, sort_keys=True))
+    if args.dump:
+        np.savez(args.dump, **values)
 
 
 if __name__ == "__main__":
