@@ -12,7 +12,6 @@ from .core import (
     ModelParams,
     PulseParams,
     QuditState,
-    bloch_vector,
     build_bare,
     build_control,
     build_total,
@@ -28,7 +27,6 @@ from .propagator import (
     GateReport,
     PulseSchedule,
     Trajectory,
-    evolve_pulse,
     extract_gate,
     interaction_frame,
     run_schedule,
@@ -75,7 +73,6 @@ __all__ = [
     "ModelParams",
     "PulseParams",
     "QuditState",
-    "bloch_vector",
     "build_bare",
     "build_control",
     "build_total",
@@ -89,7 +86,6 @@ __all__ = [
     "GateReport",
     "PulseSchedule",
     "Trajectory",
-    "evolve_pulse",
     "extract_gate",
     "interaction_frame",
     "run_schedule",

@@ -29,6 +29,8 @@ from .core import (
     ModelParams,
     PulseParams,
     QuditState,
+    _PULSE_FIELDS,
+    _number,
     hadamard_target,
     level_ordering,
 )
@@ -71,7 +73,6 @@ EXIT_NUMERIC = 3
 
 # ---------------------------------------------------------------- serialization
 
-_PULSE_FIELDS = ("T", "omega_1r", "phi_1r", "omega_01", "phi_01", "delta_01")
 _ENTRY_KEYS = ("label", *_PULSE_FIELDS)
 _pulse_entry = operator.attrgetter(*_ENTRY_KEYS)
 _pulse_values = operator.itemgetter(*_PULSE_FIELDS)
@@ -86,40 +87,31 @@ def schedule_to_document(schedule: PulseSchedule) -> dict:
     }
 
 
-_JSON_NUMBERS = frozenset({int, float})     # exact types: bool is not a JSON number
-
-
 def schedule_from_document(doc: dict) -> PulseSchedule:
-    """Schedule of a format-v1 document; a value of the wrong JSON type raises ValueError."""
+    """Schedule of a format-v1 document; a value of the wrong JSON type raises ValueError.
+
+    N and the pulse fields go to ModelParams and PulseParams as read, which
+    check them.
+    """
     if type(doc) is not dict:
         raise ValueError("a schedule document must be a JSON object")
     version = doc.get("format_version")
     if version != SCHEDULE_FORMAT_VERSION:
         raise ValueError(f"unsupported schedule format_version {version!r}")
-    N = doc["N"]
-    if type(N) is not int:      # bool is a subclass of int, so not isinstance
-        raise ValueError(f"schedule N must be a JSON integer, got {N!r}")
+    params = ModelParams(doc["N"])
     pulses = doc["pulses"]
     if type(pulses) is not list:
         raise ValueError("schedule pulses must be a JSON array")
-    return PulseSchedule(ModelParams(N), tuple(_pulse_from_entry(p) for p in pulses))
+    return PulseSchedule(params, tuple(_pulse_from_entry(p) for p in pulses))
 
 
 def _pulse_from_entry(entry: dict) -> PulseParams:
     if type(entry) is not dict:
         raise ValueError(f"a pulse entry must be a JSON object, got {entry!r}")
-    values = _pulse_values(entry)
     label = entry.get("label", "")
-    if not _JSON_NUMBERS.issuperset(map(type, values)):
-        name, value = next((n, v) for n, v in zip(_PULSE_FIELDS, values)
-                           if type(v) not in _JSON_NUMBERS)
-        raise ValueError(f"pulse field {name} must be a JSON number, got {value!r}")
     if type(label) is not str:
         raise ValueError(f"pulse label must be a JSON string, got {label!r}")
-    try:
-        return PulseParams(*map(float, values), label)
-    except OverflowError:
-        raise ValueError("a pulse field is an integer too large for a float") from None
+    return PulseParams(*_pulse_values(entry), label)
 
 
 def schedule_to_json(schedule: PulseSchedule) -> str:
@@ -203,8 +195,7 @@ def parse_state(spec: str, N: int) -> QuditState:
 
 
 def _phase_gate_target(target: QuditState, phi: float) -> np.ndarray:
-    if not math.isfinite(phi):
-        raise ValueError(f"--phi must be finite, got {phi!r}")
+    phi = _number("--phi", phi)
     tp = target.qudit_part()
     return (np.eye(2 * target.N, dtype=complex)
             + (np.exp(1j * phi) - 1.0) * np.outer(tp, tp.conj()))
@@ -217,14 +208,14 @@ def _load_unitary(path: str) -> np.ndarray:
     rows = doc["matrix"] if isinstance(doc, dict) else doc
     if type(rows) is not list or not all(type(row) is list for row in rows):
         raise ValueError("a unitary must be a JSON array of rows")
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            # the bound fails for NaN, infinities and integers too large for a float
-            if not (type(c) is list and len(c) == 2 and _JSON_NUMBERS.issuperset(map(type, c))
-                    and all(abs(x) <= sys.float_info.max for x in c)):
-                raise ValueError(f"unitary entry [{i}][{j}] must be [re, im] "
-                                 f"of finite numbers, got {c!r}")
-    return np.array([[complex(*c) for c in row] for row in rows])
+
+    def entry(i: int, j: int, c) -> complex:
+        name = f"unitary entry [{i}][{j}]"
+        if type(c) is not list or len(c) != 2:
+            raise ValueError(f"{name} must be [re, im] of finite numbers, got {c!r}")
+        return complex(_number(name, c[0]), _number(name, c[1]))
+
+    return np.array([[entry(i, j, c) for j, c in enumerate(row)] for i, row in enumerate(rows)])
 
 
 def _exit_codes(fn):

@@ -45,6 +45,7 @@ from .core import (
     QuditState,
     _diagonal,
     _excitations,
+    _number,
     _pair_bloch,
     _position,
     build_control,
@@ -90,6 +91,7 @@ class CompileOptions:
     skip_zero_phases: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "omega_01", _number("omega_01", self.omega_01))
         if not self.omega_01 > 0:
             raise ValueError(f"omega_01 must be positive, got {self.omega_01}")
         if self.fold_variant not in ("plain", "tilde"):

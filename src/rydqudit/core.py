@@ -39,6 +39,30 @@ def wrap_phase(x: float) -> float:
     return r if r > -math.pi else math.pi
 
 
+def _number(name: str, value) -> float:
+    """A finite int or float (not bool) as a built-in float; anything else raises ValueError.
+
+    A Python integer beyond the float range counts as not finite.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _integer(name: str, value) -> int:
+    """A Python or numpy integer (not bool) as a built-in int; anything else raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Atom count of the artificial molecule; the dressing amplitude is a pulse field."""
@@ -46,9 +70,7 @@ class ModelParams:
     N: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
-            raise ValueError(f"atom count must be an integer, got {self.N!r}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", _integer("atom count N", self.N))
         if self.N < 1:
             raise ValueError(f"atom count must be >= 1, got {self.N}")
 
@@ -75,10 +97,7 @@ class DressedIndex:
 
     def __post_init__(self) -> None:
         for name in ("q", "sign"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"dressed index {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(f"dressed index {name}", getattr(self, name)))
         if self.q == 0:
             if self.sign != 0:
                 raise ValueError("the ground level carries no branch sign")
@@ -133,13 +152,18 @@ def level_ordering(N: int) -> list[DressedIndex]:
     return levels
 
 
+_PULSE_FIELDS = ("T", "omega_1r", "phi_1r", "omega_01", "phi_01", "delta_01")
+_PULSE_NUMBERS = tuple((name, f"pulse field {name}") for name in _PULSE_FIELDS)
+
+
 @dataclass(frozen=True)
 class PulseParams:
     """One piecewise-constant control interval.
 
     ``T`` is the duration (units 1/omega_1r); the remaining fields are the
     amplitudes, phases and detuning of the two lasers during the interval.
-    Phases are normalized to (-pi, pi] on construction.
+    The six numbers are stored as built-in floats, phases normalized to
+    (-pi, pi].
     """
 
     T: float
@@ -151,17 +175,18 @@ class PulseParams:
     label: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("T", "omega_1r", "phi_1r", "omega_01", "phi_01", "delta_01"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"pulse parameter {name} must be finite")
+        # written through the instance dict, which costs a fraction of
+        # object.__setattr__ on a path that builds every pulse
+        values = self.__dict__
+        for name, field_name in _PULSE_NUMBERS:
+            values[name] = _number(field_name, values[name])
         if self.T < 0:
             raise ValueError(f"pulse duration must be >= 0, got {self.T}")
         for name in ("omega_1r", "omega_01"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"pulse amplitude {name} must be >= 0, got {value}")
-        object.__setattr__(self, "phi_1r", wrap_phase(self.phi_1r))
-        object.__setattr__(self, "phi_01", wrap_phase(self.phi_01))
+            if values[name] < 0:
+                raise ValueError(f"pulse amplitude {name} must be >= 0, got {values[name]}")
+        values["phi_1r"] = wrap_phase(self.phi_1r)
+        values["phi_01"] = wrap_phase(self.phi_01)
 
 
 @dataclass(frozen=True)
@@ -395,23 +420,14 @@ def _diagonal(N: int, omega_1r: float, phi_1r: float, delta_01: float) -> np.nda
     return d
 
 
-def bloch_vector(state: QuditState,
-                 pair: tuple[DressedIndex, DressedIndex]) -> tuple[np.ndarray, float]:
-    """Bloch coordinates of the state projected onto a two-level subspace.
-
-    ``pair = (up, down)`` fixes the orientation; returns ``(u, weight)`` with
-    ``weight`` the population on the pair and ``u`` the unit Bloch vector of
-    the projected state (zero vector when the weight vanishes).
-    """
-    up, down = pair
-    if up == down:
-        raise ValueError("bloch_vector requires two distinct levels")
-    return _pair_bloch(state.amplitudes, _level_position(up, state.N),
-                       _level_position(down, state.N))
-
-
 def _pair_bloch(amplitudes: np.ndarray, up: int, down: int) -> tuple[np.ndarray, float]:
-    """bloch_vector of an amplitude vector, for the pair at positions (up, down)."""
+    """Bloch coordinates of an amplitude vector projected onto the pair (up, down).
+
+    ``up`` and ``down`` are canonical positions and fix the orientation;
+    returns ``(u, weight)`` with ``weight`` the population on the pair and
+    ``u`` the unit Bloch vector of the projected state (zero vector when the
+    weight vanishes).
+    """
     a_up = amplitudes[up]
     a_down = amplitudes[down]
     weight = float(abs(a_up) ** 2 + abs(a_down) ** 2)

@@ -28,6 +28,7 @@ from .core import (
     ModelParams,
     PulseParams,
     _level_position,
+    _number,
     build_total,
     level_ordering,
 )
@@ -44,19 +45,6 @@ def blockade_radius(C6: float, omega_1r: float) -> float:
     return (abs(C6) / omega_1r) ** (1.0 / 6.0)
 
 
-def _number(name: str, value) -> float:
-    """A finite geometry number as a float; a bool, a string, None or any other value raises."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"geometry field {name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:       # a Python integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"geometry field {name} must be finite")
-    return number
-
-
 @dataclass(frozen=True)
 class Geometry:
     """Atom positions (units of the spacing a) with interaction parameters.
@@ -64,7 +52,8 @@ class Geometry:
     C6 carries units of omega_1r * a^6, so pairwise interactions come out in
     omega_1r units directly from the coordinate distances.  d is the array's
     dimensionality: the sites' affine span may not have more dimensions.
-    The positions, a, wavelength and C6 are numbers (not bool), stored as float.
+    The positions, a, wavelength and C6 are stored as float, and d, a number
+    in {1, 2, 3}, as int.
     """
 
     positions: tuple[tuple[float, float, float], ...]
@@ -74,11 +63,12 @@ class Geometry:
     d: int
 
     def __post_init__(self) -> None:
-        pos = tuple(tuple(_number("positions", c) for c in p) for p in self.positions)
+        pos = tuple(tuple(_number("geometry field positions", c) for c in p)
+                    for p in self.positions)
         if not pos or any(len(p) != 3 for p in pos):
             raise ValueError("positions must be a nonempty list of 3-vectors")
         for name in ("a", "wavelength", "C6"):
-            object.__setattr__(self, name, _number(name, getattr(self, name)))
+            object.__setattr__(self, name, _number(f"geometry field {name}", getattr(self, name)))
         sites = np.array(pos)
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
@@ -91,16 +81,17 @@ class Geometry:
                     raise ValueError(f"sites {i} and {j} are too close: C6/r^6 is not finite")
         if not self.a > 0 or not self.wavelength > 0:
             raise ValueError("spacing and wavelength must be positive")
-        if isinstance(self.d, bool) or self.d not in (1, 2, 3):
+        d = _number("geometry field d", self.d)
+        if d not in (1, 2, 3):
             raise ValueError(f"dimensionality must be 1, 2 or 3, got {self.d!r}")
+        object.__setattr__(self, "d", int(d))
         # the dimension of the sites' affine span, from singular values
         # relative to the largest
         spread = np.linalg.svd(sites - sites[0], compute_uv=False)
         span = int(np.count_nonzero(spread > _SPAN_RTOL * spread[0]))
         if span > self.d:
-            raise ValueError(f"sites span {span} dimensions, more than d = {int(self.d)}")
+            raise ValueError(f"sites span {span} dimensions, more than d = {self.d}")
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "d", int(self.d))
 
     @property
     def N(self) -> int:

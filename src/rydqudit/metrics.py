@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     DressedIndex,
     QuditState,
+    _number,
     hadamard_target,
 )
 from .propagator import (
@@ -69,8 +70,9 @@ class DecayParams:
     gamma_r: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.gamma_r < math.inf:
-            raise ValueError(f"gamma_r must be finite and >= 0, got {self.gamma_r}")
+        object.__setattr__(self, "gamma_r", _number("gamma_r", self.gamma_r))
+        if self.gamma_r < 0:
+            raise ValueError(f"gamma_r must be >= 0, got {self.gamma_r}")
 
     @classmethod
     def from_physical(cls, gamma_r_hz: float, omega_1r_hz: float) -> "DecayParams":
@@ -79,9 +81,10 @@ class DecayParams:
         Both arguments must use the same convention (e.g. angular
         frequencies in rad/s); only their ratio enters.
         """
-        if not 0 < omega_1r_hz < math.inf:
-            raise ValueError(f"omega_1r_hz must be finite and positive, got {omega_1r_hz}")
-        return cls(gamma_r_hz / omega_1r_hz)
+        omega_1r_hz = _number("omega_1r_hz", omega_1r_hz)
+        if not omega_1r_hz > 0:
+            raise ValueError(f"omega_1r_hz must be positive, got {omega_1r_hz}")
+        return cls(_number("gamma_r_hz", gamma_r_hz) / omega_1r_hz)
 
 
 def decay_survival(traj: Trajectory, decay: DecayParams) -> float:

@@ -27,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    ContractViolation,
     ModelParams,
     PulseParams,
     QuditState,
@@ -167,18 +166,6 @@ def _key_table(params: ModelParams, pulses: list[PulseParams]
     return w, V, rows, phases
 
 
-def evolve_pulse(state: QuditState, pulse: PulseParams, params: ModelParams) -> QuditState:
-    """Apply exp(-i H T) for the pulse's constant Hamiltonian to the state."""
-    psi = state.amplitudes
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ContractViolation("evolve_pulse requires a unit-norm state")
-    if psi.size != params.dim:
-        raise ValueError("state dimension does not match the model")
-    if pulse.T == 0.0:
-        return state
-    return QuditState(_evolve(build_total(params, pulse), pulse.T, psi))
-
-
 def run_schedule(initial: QuditState, schedule: PulseSchedule,
                  samples_per_pulse: int = DEFAULT_SAMPLES_PER_PULSE) -> Trajectory:
     """Piecewise-exact evolution with intra-pulse samples.
@@ -188,7 +175,7 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
     A pulse's interior samples come from one stacked product; its boundary
     sample, the state carried into the next pulse, is evolved on its own at
     t = T, so boundaries and the final state do not depend on
-    samples_per_pulse and agree with a sequential evolve_pulse composition
+    samples_per_pulse and agree with evolving the pulses one after another
     to machine precision.
     """
     if samples_per_pulse < 1:

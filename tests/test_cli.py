@@ -287,6 +287,19 @@ def test_phi_must_be_finite(runner, tmp_path, phi):
     assert "--phi" in res.output and not report.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["compile", "--gate", "phase", "-N", "2", "--ratio", "inf"],
+    ["compile", "--gate", "phase", "-N", "2", "--ratio", "1e400"],
+    ["scan", "--kind", "phase", "-N", "2", "--ratio", "inf"],
+], ids=["compile-inf", "compile-1e400", "scan-inf"])
+def test_non_finite_ratio_is_a_configuration_error(runner, tmp_path, args):
+    out = tmp_path / "out"
+    res = runner.invoke(main, args + ["-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "omega_01" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text,message", [
     ("[[1, 0], [0, 1]]", "entry [0][0]"),
     ("[[[1, 0], [0, 0]], [[0, 0], [1]]]", "entry [1][1]"),
@@ -575,16 +588,16 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
 
 
 MALFORMED_SCHEDULES = {
-    "fractional-N": ({"N": 2.9}, "N must be a JSON integer"),
-    "bool-N": ({"N": True}, "N must be a JSON integer"),
-    "string-N": ({"N": "2"}, "N must be a JSON integer"),
+    "fractional-N": ({"N": 2.9}, "atom count N must be an integer"),
+    "bool-N": ({"N": True}, "atom count N must be an integer"),
+    "string-N": ({"N": "2"}, "atom count N must be an integer"),
     "pulse-not-object": ({"pulses": [5]}, "pulse entry must be a JSON object"),
     "pulses-not-array": ({"pulses": 5}, "pulses must be a JSON array"),
-    "string-field": ({"pulse": {"T": "1e3"}}, "pulse field T must be a JSON number"),
-    "bool-field": ({"pulse": {"omega_01": True}}, "pulse field omega_01 must be a JSON number"),
-    "null-field": ({"pulse": {"phi_01": None}}, "pulse field phi_01 must be a JSON number"),
+    "string-field": ({"pulse": {"T": "1e3"}}, "pulse field T must be a number"),
+    "bool-field": ({"pulse": {"omega_01": True}}, "pulse field omega_01 must be a number"),
+    "null-field": ({"pulse": {"phi_01": None}}, "pulse field phi_01 must be a number"),
     "label-not-string": ({"pulse": {"label": 3}}, "pulse label must be a JSON string"),
-    "huge-integer-field": ({"pulse": {"T": 10 ** 400}}, "too large"),
+    "huge-integer-field": ({"pulse": {"T": 10 ** 400}}, "pulse field T must be finite"),
 }
 
 

@@ -1,5 +1,6 @@
 """Basis bookkeeping and Hamiltonian construction."""
 
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydqudit import compiler, core
-from rydqudit.cli import schedule_to_json
+from rydqudit.cli import schedule_from_json, schedule_to_json
 from rydqudit.compiler import (
     CompileOptions,
+    compile_phase_gate,
     compile_readout,
     compile_state_prep,
     compile_unitary,
@@ -21,7 +23,7 @@ from rydqudit.core import (
     ModelParams,
     PulseParams,
     QuditState,
-    bloch_vector,
+    _pair_bloch,
     build_bare,
     build_control,
     build_total,
@@ -35,7 +37,8 @@ from rydqudit.core import (
     require_unitary,
     wrap_phase,
 )
-from rydqudit.propagator import schedule_operator
+from rydqudit.metrics import DecayParams
+from rydqudit.propagator import PulseSchedule, schedule_operator
 
 # frozen from the rationalized forms sqrt(N-q)*(sqrt(q+1) +- sqrt(q))/2
 COUPLING_ORACLES = {
@@ -85,7 +88,7 @@ def test_position_rule_matches_dressed_index():
 
 
 @pytest.mark.parametrize("N", [True, False, 2.5, 3.0, "3", None, np.float64(2.0), 0, -1,
-                               np.int64(0)])
+                               np.int64(0), np.bool_(True), math.nan, math.inf])
 def test_model_params_rejects_what_is_not_an_atom_count(N):
     with pytest.raises(ValueError, match="atom count"):
         ModelParams(N)
@@ -107,7 +110,8 @@ def test_dressed_index_validation():
 
 @pytest.mark.parametrize("q,sign", [
     (1.5, 1), (1.0, -1), (True, -1), (1, True), (0, False), (np.float64(2.0), 1),
-    ("1", 1), (None, 0), (2, -1.0), (np.bool_(True), 1),
+    ("1", 1), (None, 0), (2, -1.0), (np.bool_(True), 1), (math.inf, 1), (1, math.nan),
+    (1, np.bool_(False)),
 ])
 def test_dressed_index_takes_integers_only(q, sign):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -142,6 +146,53 @@ def test_pulse_rejects_negative_duration():
         PulseParams(-0.1)
     with pytest.raises(ValueError):
         PulseParams(float("nan"))
+
+
+PULSE = dict(T=1.0, omega_1r=1.0, phi_1r=0.0, omega_01=0.1, phi_01=0.0, delta_01=0.0)
+NOT_FINITE_NUMBERS = {"bool": True, "numpy-bool": np.bool_(True), "string": "1", "null": None,
+                      "huge-integer": 10**400, "nan": math.nan, "inf": math.inf,
+                      "-inf": -math.inf}
+NUMBER_FIELDS = {
+    **{f"pulse-{name}": (lambda v, name=name: PulseParams(**{**PULSE, name: v}),
+                         f"pulse field {name}") for name in PULSE},
+    "decay-gamma_r": (DecayParams, "gamma_r"),
+    "compile-omega_01": (lambda v: CompileOptions(omega_01=v), "omega_01"),
+}
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_NUMBERS.values(), ids=NOT_FINITE_NUMBERS.keys())
+@pytest.mark.parametrize("build,field", NUMBER_FIELDS.values(), ids=NUMBER_FIELDS.keys())
+def test_number_fields_reject_what_is_not_a_finite_number(build, field, value):
+    with pytest.raises(ValueError, match=field):
+        build(value)
+
+
+def pulse_number_types(pulses) -> set:
+    return {type(getattr(p, name)) for p in pulses for name in PULSE}
+
+
+def test_pulse_fields_are_built_in_floats():
+    for kind in (np.float32, np.float64, int):
+        assert pulse_number_types([PulseParams(*map(kind, (2, 1, 3, 0, -1, 1)))]) == {float}
+    target = QuditState.uniform(3)
+    plain = CompileOptions(omega_01=1e-2)
+    tilde = CompileOptions(omega_01=1e-2, fold_variant="tilde")
+    compiled = {
+        "prep": compile_state_prep(target, plain),
+        "phase plain": compile_phase_gate(target, 1.0, plain),
+        "phase tilde": compile_phase_gate(target, 1.0, tilde),
+        "hadamard": compile_unitary(hadamard_target(3), plain),
+        "readout": compile_readout(target, plain),
+    }
+    for kind, schedule in compiled.items():
+        assert pulse_number_types(schedule.pulses) == {float}, kind
+    doc = json.loads(schedule_to_json(compiled["prep"]))
+    doc["pulses"][0].update(T=3, omega_1r=1, phi_1r=0, omega_01=0, phi_01=2, delta_01=-1)
+    assert pulse_number_types(schedule_from_json(json.dumps(doc)).pulses) == {float}
+    # a float32 pulse writes, and reads back as itself
+    single = PulseSchedule(ModelParams(1), (PulseParams(np.float32(0.5),
+                                                        omega_01=np.float32(0.25)),))
+    assert schedule_from_json(schedule_to_json(single)) == single
 
 
 def test_pulse_rejects_negative_amplitudes():
@@ -223,15 +274,16 @@ def test_bloch_vector_unit_norm(N, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
     state = QuditState.from_vector(v, normalize=True)
-    pair = (DressedIndex.branch(-1, 1), DressedIndex.branch(+1, 1))
-    u, weight = bloch_vector(state, pair)
+    u, weight = _pair_bloch(state.amplitudes, DressedIndex.branch(-1, 1).position(),
+                            DressedIndex.branch(+1, 1).position())
     if weight > 0:
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bloch_vector_orientation():
     state = QuditState.from_vector([0.0, 1.0, 0.0], normalize=True)
-    u, w = bloch_vector(state, (DressedIndex.branch(-1, 1), DressedIndex.branch(+1, 1)))
+    u, w = _pair_bloch(state.amplitudes, DressedIndex.branch(-1, 1).position(),
+                       DressedIndex.branch(+1, 1).position())
     assert w == pytest.approx(1.0)
     assert u == pytest.approx([0.0, 0.0, 1.0])
 
@@ -240,14 +292,6 @@ def test_basis_state_rejects_level_above_atom_count():
     with pytest.raises(ValueError, match=r"level \+,3 needs at least 3 sites, got N=2"):
         QuditState.basis_state(2, DressedIndex.branch(+1, 3))
     assert QuditState.basis_state(2, DressedIndex.branch(+1, 2)).amplitudes[4] == 1.0
-
-
-def test_bloch_vector_rejects_level_above_atom_count():
-    state = QuditState.uniform(2)
-    above, minus1 = DressedIndex.branch(+1, 3), DressedIndex.branch(-1, 1)
-    for pair in ((above, minus1), (minus1, above)):
-        with pytest.raises(ValueError, match=r"level \+,3 needs at least 3 sites, got N=2"):
-            bloch_vector(state, pair)
 
 
 def test_state_norm_contract():

@@ -400,6 +400,11 @@ GEOMETRY_FIELDS = dict(positions=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), a=1.0,
     ("positions", ((0.0, 0.0, 0.0), ("1", True, 0.0))),
     ("positions", ((0.0, 0.0, 0.0), (1.0, None, 0.0))),
     pytest.param("C6", 10**400, id="C6-beyond-float-range"),
+    pytest.param("d", np.bool_(True), id="d-numpy-bool"),
+    pytest.param("d", None, id="d-null"),
+    pytest.param("d", math.inf, id="d-inf"),
+    pytest.param("d", 10**400, id="d-beyond-float-range"),
+    pytest.param("a", 10**400, id="a-beyond-float-range"),
 ])
 def test_geometry_rejects_non_finite_and_non_integer_inputs(name, value):
     with pytest.raises(ValueError):

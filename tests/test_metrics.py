@@ -78,7 +78,12 @@ def test_decay_params():
     lambda: DecayParams.from_physical(math.nan, 1.0),
     lambda: DecayParams.from_physical(math.inf, 1.0),
     lambda: DecayParams.from_physical(1e300, 1e-300),
-], ids=["nan", "inf", "inf-omega", "nan-omega", "nan-gamma", "inf-gamma", "overflow"])
+    lambda: DecayParams(-math.inf),
+    lambda: DecayParams(10**400),
+    lambda: DecayParams.from_physical(10**400, 1.0),
+    lambda: DecayParams.from_physical(1.0, 10**400),
+], ids=["nan", "inf", "inf-omega", "nan-omega", "nan-gamma", "inf-gamma", "overflow",
+        "-inf", "huge-integer", "huge-integer-gamma", "huge-integer-omega"])
 def test_decay_params_reject_non_finite(build):
     with pytest.raises(ValueError, match="finite"):
         build()

@@ -27,7 +27,6 @@ from rydqudit.propagator import (
     _evolve,
     _propagate,
     _gauge,
-    evolve_pulse,
     extract_gate,
     interaction_frame,
     run_schedule,
@@ -68,6 +67,7 @@ SCHEDULE_IDS = ["hadamard-n3", "prep-n4", "repeated-keys"]
 
 @pytest.mark.parametrize("seed", range(5))
 def test_evolve_pulse_matches_adaptive_integrator(seed):
+    # a one-pulse schedule, through both paths that evolve pulses
     rng = np.random.default_rng(seed)
     N = int(rng.integers(1, 5))
     params = ModelParams(N)
@@ -76,20 +76,26 @@ def test_evolve_pulse_matches_adaptive_integrator(seed):
     H = build_total(params, pulse)
     sol = solve_ivp(lambda t, y: -1j * (H @ y), (0.0, pulse.T), psi0.amplitudes,
                     method="DOP853", rtol=1e-12, atol=1e-12)
-    out = evolve_pulse(psi0, pulse, params)
+    schedule = PulseSchedule(params, (pulse,))
+    out = run_schedule(psi0, schedule, samples_per_pulse=3).final_state
     assert np.max(np.abs(out.amplitudes - sol.y[:, -1])) <= 1e-8
+    out = schedule_operator(schedule) @ psi0.amplitudes
+    assert np.max(np.abs(out - sol.y[:, -1])) <= 1e-8
 
 
 def test_evolve_pulse_contracts():
     # dimension mismatch is a configuration error
+    one_pulse = PulseSchedule(ModelParams(2), (PulseParams(1.0),))
     state = QuditState.basis_state(3, DressedIndex.ground())
     with pytest.raises(ValueError):
-        evolve_pulse(state, PulseParams(1.0), ModelParams(2))
-    # a denormalized state is rejected before propagation
+        run_schedule(state, one_pulse)
+    # a denormalized state is no QuditState, and does not come out of a run as one
     bad = QuditState.basis_state(2, DressedIndex.ground())
+    with pytest.raises(ContractViolation):
+        QuditState(bad.amplitudes * 1.5)
     object.__setattr__(bad, "amplitudes", bad.amplitudes * 1.5)
     with pytest.raises(ContractViolation):
-        evolve_pulse(bad, PulseParams(1.0), ModelParams(2))
+        run_schedule(bad, one_pulse).final_state
 
 
 @given(seed=st.integers(0, 500), n_pulses=st.integers(1, 6))
@@ -128,10 +134,10 @@ def test_time_reversal_under_hamiltonian_negation(seed):
     params = ModelParams(N)
     pulse = random_pulse(rng)
     psi0 = random_state(rng, N)
-    forward = evolve_pulse(psi0, pulse, params)
     H = build_total(params, pulse)
+    forward = _evolve(H, pulse.T, psi0.amplitudes)
     w, V = np.linalg.eigh(-H)
-    back = V @ (np.exp(-1j * w * pulse.T) * (V.conj().T @ forward.amplitudes))
+    back = V @ (np.exp(-1j * w * pulse.T) * (V.conj().T @ forward))
     assert np.max(np.abs(back - psi0.amplitudes)) <= 1e-10
 
 
@@ -157,9 +163,10 @@ def test_final_state_matches_sequential_evolve():
     schedule = PulseSchedule(params, tuple(random_pulse(rng) for _ in range(4)))
     psi = random_state(rng, 3)
     traj = run_schedule(psi, schedule, samples_per_pulse=7)
+    psi = psi.amplitudes
     for p in schedule.pulses:
-        psi = evolve_pulse(psi, p, params)
-    assert np.max(np.abs(traj.final_state.amplitudes - psi.amplitudes)) <= 1e-12
+        psi = _evolve(build_total(params, p), p.T, psi)
+    assert np.max(np.abs(traj.final_state.amplitudes - psi)) <= 1e-12
 
 
 @given(seed=st.integers(0, 200))

@@ -18,7 +18,10 @@ SHA-256 of build_total's bytes at N in {1, 2, 3, 9}, omega_1r in {0, 0.7,
 oracle's compare_spectrum and compare_evolution (T = 10 from |-,1>) for the
 equilateral triangle at C6 = 1e3 and a seeded jittered 2x2 square at C6 =
 1e4, under a pulse with nonzero phi_1r, phi_01 and delta_01.  These calls
-keep one signature across checkouts.
+keep one signature across checkouts.  One more entry,
+_schedule_round_trip_failures, counts the schedule cases whose JSON document
+does not come back byte for byte from schedule_to_json(schedule_from_json(
+text)); it reads 0.
 
 The bits depend on the numpy and LAPACK build, so compare two checkouts on
 one machine, never against a stored file.  BLAS runs on one thread unless
@@ -102,7 +105,7 @@ def main() -> None:
     import numpy as np
     import rydqudit as rq
     from rydqudit import compiler
-    from rydqudit.cli import schedule_to_json
+    from rydqudit.cli import schedule_from_json, schedule_to_json
 
     if not os.path.abspath(rq.__file__).startswith(src + os.sep):
         sys.exit(f"rydqudit was imported from {rq.__file__}, not from {src}")
@@ -115,11 +118,15 @@ def main() -> None:
 
     out = {}
     values = {}     # each case's operator or measurement, for --dump
+    round_trip_failures = []
 
     def digest(name: str, schedule: rq.PulseSchedule) -> None:
+        text = schedule_to_json(schedule)
+        if schedule_to_json(schedule_from_json(text)) != text:
+            round_trip_failures.append(name)
         values[name] = rq.schedule_operator(schedule)
         out[name] = {
-            "schedule_sha256": _sha256(schedule_to_json(schedule).encode()),
+            "schedule_sha256": _sha256(text.encode()),
             "operator_sha256": _sha256(values[name].tobytes()),
         }
 
@@ -170,6 +177,7 @@ def main() -> None:
             rq.compare_evolution(g, pulse, 10.0, rq.DressedIndex.branch(-1, 1)))
     out["_phase_calibration"] = repr(compiler._phase_calibration())
     out["_doublet_senses"] = repr(compiler._doublet_senses())
+    out["_schedule_round_trip_failures"] = len(round_trip_failures)
     print(json.dumps(out, indent=1, sort_keys=True))
     if args.dump:
         np.savez(args.dump, **values)
