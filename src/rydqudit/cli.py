@@ -274,6 +274,7 @@ def cmd_compile(gate: str, n_atoms: int, ratio: float, phi: float, target_spec: 
                 unitary_file: Optional[str], fold_variant: str,
                 skip_zero_phases: bool, output: str) -> None:
     """Synthesize a pulse schedule and write it as a JSON document."""
+    n_atoms = ModelParams(n_atoms).N     # the atom-count rule, before anything is sized by N
     opts = CompileOptions(omega_01=ratio, fold_variant=fold_variant,
                           skip_zero_phases=skip_zero_phases)
     if gate == "phase":

@@ -194,22 +194,27 @@ def _pair_hamiltonian(params: ModelParams, pulse: PulseParams,
     return Heff
 
 
-def _advance(vec: np.ndarray, params: ModelParams, pulses: tuple[PulseParams, ...],
+def _advance(vecs: np.ndarray, params: ModelParams, pulses: list[tuple[PulseParams, ...]],
              pair: Optional[tuple[int, int]]) -> np.ndarray:
-    """Carry an effective state through pulses that are all resonant on pair.
+    """Carry a stack of effective states, row k through pulses[k], all resonant on pair.
 
-    pair holds the (target, other) positions of the emitting rotation, the
-    pair _pulse_kind reads from the pulses' labels, or None for bare doublet
+    Every row has as many pulses, and the rows advance in lockstep: each step
+    diagonalises the rows' effective Hamiltonians in one stacked eigh and
+    propagates the rows in one stacked product.  A stacked eigh calls LAPACK
+    once per matrix, so every row gets the bits it gets alone.  pair holds
+    the (target, other) positions of the emitting rotation, the pair
+    _pulse_kind reads from the pulses' labels, or None for bare doublet
     pulses, whose eigensystem is cached per key.  So each step is bit for bit
-    the evolution under effective_hamiltonian.  Returns the normalized vector.
+    the evolution under effective_hamiltonian.  Returns the normalized rows.
     """
-    for p in pulses:
+    for step in zip(*pulses):
         if pair is None:
-            w, V = _bare_eigensystem(params.N, p.omega_1r, p.phi_1r)
+            w, V = map(np.array, zip(*(_bare_eigensystem(params.N, p.omega_1r, p.phi_1r)
+                                       for p in step)))
         else:
-            w, V = np.linalg.eigh(_pair_hamiltonian(params, p, pair))
-        vec = _propagate(w, V, p.T, vec)
-    return vec / np.linalg.norm(vec)
+            w, V = np.linalg.eigh(np.array([_pair_hamiltonian(params, p, pair) for p in step]))
+        vecs = _propagate(w, V, np.array([p.T for p in step]), vecs)
+    return vecs / np.array([[np.linalg.norm(vec)] for vec in vecs])
 
 
 @lru_cache(maxsize=256)
@@ -248,35 +253,55 @@ def _pair_axis(h0: complex, h1: complex, u: np.ndarray) -> tuple[float, float]:
     return wrap_phase(sense * wrap_phase(beta - math.pi / 2 - a0)), theta
 
 
-def _emit_pair_rotation(eff: np.ndarray, pair: tuple[int, int], delta_01: float,
-                        name: str, opts: CompileOptions, params: ModelParams
-                        ) -> tuple[tuple[PulseParams, ...], np.ndarray]:
-    """Pulses rotating the (target, other) pair's Bloch vector onto +z.
-
-    The realized in-plane axis azimuth is an affine function of phi_01 whose
-    offset and sense are read off the control matrix element numerically, so
-    the solution is immune to sign-convention drift.  At u = -z the target
-    level is empty and u_x, u_y are rounding noise, so the azimuth follows
-    that noise rather than a fixed axis (ROADMAP item 2).  Returns the pulses
-    and the advanced effective state.
-    """
-    u, weight = _pair_bloch(eff, *pair)
-    if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
-        return (), eff
-    omega_01 = opts.omega_01
+@lru_cache(maxsize=256)
+def _pair_coupling(N: int, omega_01: float, pair: tuple[int, int]) -> tuple[complex, complex, float]:
+    """The pair's control element h0 at phi_01 = 0 and h1 at 0.5, and its
+    rotation rate 2|h0| as a built-in float."""
+    params = ModelParams(N)
     h0 = control_element(params, omega_01, 0.0, *pair)
-    phi_01, theta = _pair_axis(h0, control_element(params, omega_01, 0.5, *pair), u)
-    T = theta / (2.0 * abs(h0))
-    if opts.fold_variant == "tilde":
-        head, _, tail = name.partition("(")
-        base = f"{head}~({tail}"
-        pulses = (
-            PulseParams(T / 2, 1.0, 0.0, omega_01, phi_01, delta_01, label=f"{base}:a"),
-            PulseParams(T / 2, 1.0, math.pi, omega_01, phi_01, -delta_01, label=f"{base}:b"),
-        )
-    else:
-        pulses = (PulseParams(T, 1.0, 0.0, omega_01, phi_01, delta_01, label=name),)
-    return pulses, _advance(eff, params, pulses, pair)
+    return h0, control_element(params, omega_01, 0.5, *pair), 2.0 * float(abs(h0))
+
+
+def _emit_pair_rotation(effs: np.ndarray, pair: tuple[int, int], delta_01: float,
+                        name: str, opts: CompileOptions, params: ModelParams
+                        ) -> tuple[list[tuple[PulseParams, ...]], np.ndarray]:
+    """Pulses rotating each row's (target, other) pair Bloch vector onto +z.
+
+    effs stacks normalized amplitude vectors, one row per target; the rows
+    that emit advance together in one _advance.  The realized in-plane axis
+    azimuth is an affine function of phi_01 whose offset and sense are read
+    off the control matrix element numerically, so the solution is immune to
+    sign-convention drift.  At u = -z the target level is empty and u_x, u_y
+    are rounding noise, so the azimuth follows that noise rather than a fixed
+    axis (ROADMAP item 4).  Returns each row's pulses and the advanced stack.
+    """
+    omega_01 = opts.omega_01
+    h0, h1, rate = _pair_coupling(params.N, omega_01, pair)
+    emitted: list[tuple[PulseParams, ...]] = []
+    rows = []
+    for k, eff in enumerate(effs):
+        u, weight = _pair_bloch(eff, *pair)
+        if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
+            emitted.append(())
+            continue
+        phi_01, theta = _pair_axis(h0, h1, u)
+        T = theta / rate
+        if opts.fold_variant == "tilde":
+            head, _, tail = name.partition("(")
+            base = f"{head}~({tail}"
+            emitted.append((
+                PulseParams(T / 2, 1.0, 0.0, omega_01, phi_01, delta_01, label=f"{base}:a"),
+                PulseParams(T / 2, 1.0, math.pi, omega_01, phi_01, -delta_01, label=f"{base}:b"),
+            ))
+        else:
+            emitted.append((PulseParams(T, 1.0, 0.0, omega_01, phi_01, delta_01, label=name),))
+        rows.append(k)
+    if 0 < len(rows) < len(effs):
+        effs = effs.copy()
+        effs[rows] = _advance(effs[rows], params, [emitted[k] for k in rows], pair)
+    elif rows:
+        effs = _advance(effs, params, emitted, pair)
+    return emitted, effs
 
 
 def _fold_levels(s: int, q: int) -> tuple[tuple[int, int], float]:
@@ -287,27 +312,6 @@ def _fold_levels(s: int, q: int) -> tuple[tuple[int, int], float]:
     """
     return ((_position(-s, q), _position(s, q + 1)),
             s * (math.sqrt(q + 1) + math.sqrt(q)) / 2)
-
-
-def _fold(eff: np.ndarray, s: int, q: int, opts: CompileOptions,
-          params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
-    """One fold: transfer the pair {|s,q+1>, |sbar,q>} onto |sbar,q>.
-
-    Emits nothing when the pair carries no weight or is already folded.
-    Takes and returns a normalized amplitude vector: the emitted pulses and
-    the advanced effective state.
-    """
-    if not 1 <= q <= params.N - 1:
-        raise ValueError(f"fold level q={q} out of range for N={params.N}")
-    pair, delta = _fold_levels(s, q)
-    return _emit_pair_rotation(eff, pair, delta, f"fold({_sgn(s)},q={q})", opts, params)
-
-
-def _g0_pulses(eff: np.ndarray, s: int, opts: CompileOptions,
-               params: ModelParams) -> tuple[tuple[PulseParams, ...], np.ndarray]:
-    """Rotation in {|s,1>, |g,0>} moving the pair's population onto |g,0>."""
-    return _emit_pair_rotation(eff, (0, _position(s, 1)), s / 2,
-                               f"g0rot({_sgn(s)})", opts, params)
 
 
 @cache
@@ -355,7 +359,7 @@ def _doublet_pulses(eff: np.ndarray, params: ModelParams
     if ay > 1e-12:
         pulses.append(PulseParams(ay, 1.0, math.pi / 2, label="doublet:y"))
     emitted = tuple(pulses)
-    return emitted, _advance(eff, params, emitted, None)
+    return emitted, _advance(eff[None], params, [emitted], None)[0]
 
 
 def compile_full_control(target: QuditState, opts: CompileOptions,
@@ -367,30 +371,40 @@ def compile_full_control(target: QuditState, opts: CompileOptions,
     |-,1> by bare pulses, or, for Hfull, both q=1 levels are rotated onto
     |g,0> through the control laser.
     """
-    params = ModelParams(target.N)
+    return _full_controls(ModelParams(target.N), [target], opts, space)[0]
+
+
+def _full_controls(params: ModelParams, targets: list[QuditState], opts: CompileOptions,
+                   space: str) -> list[PulseSchedule]:
+    """compile_full_control of each target, all advanced in lockstep.
+
+    At each fold step every target's pulses are solved on their own, and
+    the targets that emit are advanced together (_emit_pair_rotation).
+    """
     if space not in ("Hprime", "Hfull"):
         raise ValueError(f"unknown space {space!r}")
-    if space == "Hprime" and abs(target.amplitudes[0]) > 1e-10:
+    if space == "Hprime" and any(abs(t.amplitudes[0]) > 1e-10 for t in targets):
         raise ContractViolation("target must carry no |g,0> amplitude in Hprime")
-    eff = target.amplitudes
-    pulses: list[PulseParams] = []
-    for level in range(params.N, 1, -1):
-        for s in (+1, -1):
-            emitted, eff = _fold(eff, s, level - 1, opts, params)
-            pulses.extend(emitted)
+    effs = np.array([t.amplitudes for t in targets], dtype=complex).reshape(-1, params.dim)
+    pulses: list[list[PulseParams]] = [[] for _ in targets]
+    rotations = [(*_fold_levels(s, q), f"fold({_sgn(s)},q={q})")
+                 for q in range(params.N - 1, 0, -1) for s in (+1, -1)]
+    if space == "Hfull":
+        # both q=1 levels onto |g,0>, in {|s,1>, |g,0>} through the control laser
+        rotations += [((0, _position(s, 1)), s / 2, f"g0rot({_sgn(s)})") for s in (+1, -1)]
+    for pair, delta, name in rotations:
+        emitted, effs = _emit_pair_rotation(effs, pair, delta, name, opts, params)
+        for mine, new in zip(pulses, emitted):
+            mine.extend(new)
     if space == "Hprime":
-        emitted, eff = _doublet_pulses(eff, params)
-        pulses.extend(emitted)
-        final_pos = _MINUS1
-    else:
-        for s in (+1, -1):
-            emitted, eff = _g0_pulses(eff, s, opts, params)
-            pulses.extend(emitted)
-        final_pos = 0
+        for k, eff in enumerate(effs):
+            emitted, effs[k] = _doublet_pulses(eff, params)
+            pulses[k].extend(emitted)
     # the effective state's norm contract, checked once per pass
-    if abs(QuditState(eff).amplitudes[final_pos]) ** 2 < 1.0 - 1e-9:
+    final_pos = _MINUS1 if space == "Hprime" else 0
+    if any(abs(QuditState(eff).amplitudes[final_pos]) ** 2 < 1.0 - 1e-9 for eff in effs):
         raise ContractViolation("full-control synthesis failed to concentrate the state")
-    return PulseSchedule(params, tuple(pulses))
+    return [PulseSchedule(params, tuple(mine)) for mine in pulses]
 
 
 def _invert_pulse(p: PulseParams, N: int) -> PulseParams:
@@ -441,7 +455,8 @@ def _phase_calibration() -> tuple[int, float]:
     start = np.eye(params.dim, dtype=complex)[_MINUS1]
 
     def realized(x: float) -> float:
-        out = _advance(start, params, _phase_pulses(x, 0.05, params).pulses, (_MINUS1, 0))
+        out = _advance(start[None], params, [_phase_pulses(x, 0.05, params).pulses],
+                       (_MINUS1, 0))[0]
         amp = out[_MINUS1]
         if abs(abs(amp) - 1.0) > 1e-9:
             raise ContractViolation("phase-pulse calibration left the state")
@@ -470,10 +485,13 @@ def compile_phase_gate(target: QuditState, Phi: float, opts: CompileOptions) -> 
     pulse's control phase encoding Phi through the calibrated affine
     response; the inverted full control then undoes the first step.
     """
-    forward = compile_full_control(target, opts, "Hprime")
-    params = forward.params
+    return _phase_gate(compile_full_control(target, opts, "Hprime"), Phi, opts)
+
+
+def _phase_gate(forward: PulseSchedule, Phi: float, opts: CompileOptions) -> PulseSchedule:
+    """The phase gate of Phi around a full-control schedule forward."""
     sense, offset = _phase_calibration()
-    middle = _phase_pulses(wrap_phase(sense * (Phi - offset)), opts.omega_01, params)
+    middle = _phase_pulses(wrap_phase(sense * (Phi - offset)), opts.omega_01, forward.params)
     return forward.concat(middle).concat(invert_full_control(forward))
 
 
@@ -512,21 +530,21 @@ def compile_unitary(U: np.ndarray, opts: CompileOptions) -> PulseSchedule:
 
     U is eigendecomposed deterministically and one generalized phase gate is
     emitted per eigenpair; with skip_zero_phases set, eigenphases below the
-    tolerance emit nothing.
+    tolerance emit nothing.  The gates' full-control passes are compiled in
+    lockstep, each bit for bit as compile_phase_gate compiles it alone.
     """
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] % 2 or U.shape[0] < 2:
         raise ValueError(f"expected a 2N x 2N matrix, got shape {U.shape}")
-    N = U.shape[0] // 2
+    params = ModelParams(U.shape[0] // 2)
     phases, vectors = unitary_eigensystem(U)
-    schedule = PulseSchedule(ModelParams(N))
-    for alpha, v in zip(phases, vectors.T):
-        if opts.skip_zero_phases and abs(wrap_phase(alpha)) < _ZERO_PHASE_EPS:
-            continue
-        amp = np.zeros(2 * N + 1, dtype=complex)
-        amp[1:] = v
-        state = QuditState.from_vector(amp, normalize=True)
-        schedule = schedule.concat(compile_phase_gate(state, float(alpha), opts))
+    kept = [(float(alpha), v) for alpha, v in zip(phases, vectors.T)
+            if not (opts.skip_zero_phases and abs(wrap_phase(alpha)) < _ZERO_PHASE_EPS)]
+    targets = [QuditState.from_vector(np.concatenate(([0.0], v)), normalize=True)
+               for _, v in kept]
+    schedule = PulseSchedule(params)
+    for (alpha, _), forward in zip(kept, _full_controls(params, targets, opts, "Hprime")):
+        schedule = schedule.concat(_phase_gate(forward, alpha, opts))
     return schedule
 
 

@@ -110,7 +110,13 @@ def _propagate(w: np.ndarray, V: np.ndarray, T, X: np.ndarray) -> np.ndarray:
     sample comes from one matrix product, returned transposed to (n, dim).
     A real V (the 3^N oracle's) applies to the real and imaginary parts of
     a complex operand separately, so it is never upcast to a complex copy.
+    A stack of k eigensystems, V of shape (k, dim, dim), takes k times and k
+    vectors, X of shape (k, dim), one of each per eigensystem, in one stacked
+    product per factor; each row gets the bits of its own call.
     """
+    if V.ndim == 3:
+        coef = V.conj().transpose(0, 2, 1) @ X[:, :, None]
+        return (V @ (np.exp(-1j * w * T[:, None])[:, :, None] * coef))[:, :, 0]
     stacked = np.ndim(T) != 0
     if stacked and (np.ndim(T) != 1 or X.ndim != 1):
         raise ValueError("an array of times must be 1-D and needs a vector operand; "

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import rydqudit
+from rydqudit import cli
 from rydqudit.cli import (
     main,
     parse_state,
@@ -620,6 +621,31 @@ def test_schedule_document_rejects_wrong_json_types(runner, tmp_path, change, me
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert not (tmp_path / "r.json").exists()
+
+
+def refuse_to_size(*args, **kwargs):
+    raise AssertionError("reached code that sizes arrays by N")
+
+
+@pytest.mark.parametrize("gate", ["phase", "hadamard", "prep"])
+def test_atom_count_beyond_the_cap_exits_2_before_sizing_anything(runner, tmp_path, monkeypatch,
+                                                                   gate):
+    # at N = 100000 a dense ladder matrix would take 640 GB; every array sized
+    # by N is built behind these names, so reaching one fails the test instead
+    for name in ("parse_state", "hadamard_target", "extract_gate", "run_schedule"):
+        monkeypatch.setattr(cli, name, refuse_to_size)
+    doc = json.loads(schedule_to_json(sample_schedule()))
+    doc["N"] = 100000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for args in (["simulate", str(path), "--expect", "hadamard", "--initial", "uniform",
+                  "--report", str(tmp_path / "r.json")],
+                 ["compile", "--gate", gate, "-N", "100000", "--ratio", "1e-2",
+                  "-o", str(tmp_path / "s.json")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert f"atom count N must be between 1 and {ModelParams.N_MAX}, got 100000" in res.output
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_schedule_document_accepts_integer_fields_and_no_label():

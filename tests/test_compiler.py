@@ -22,7 +22,7 @@ from rydqudit.core import (
 from rydqudit import compiler
 from rydqudit.compiler import (
     _bare_eigensystem,
-    _fold,
+    _emit_pair_rotation,
     _fold_levels,
     _invert_pulse,
     _pair_hamiltonian,
@@ -59,14 +59,23 @@ def random_qudit_state(N, seed, ground=0.0):
     return QuditState.from_vector(v, normalize=True)
 
 
+def fold(state, s, q):
+    """One fold of a single state, as full control emits it: its pulses and
+    the advanced amplitude vector."""
+    (pulses,), (vec,) = _emit_pair_rotation(state.amplitudes[None], *_fold_levels(s, q),
+                                            f"fold({'+' if s > 0 else '-'},q={q})", OPTS,
+                                            ModelParams(state.N))
+    return pulses, vec
+
+
 def test_fold_resonance_oracle():
     state = random_qudit_state(2, 0)
-    pulses, _ = _fold(state.amplitudes, +1, 1, OPTS, ModelParams(2))
+    pulses, _ = fold(state, +1, 1)
     assert len(pulses) == 1
     assert pulses[0].delta_01 == pytest.approx(FOLD_DELTA_PLUS_Q1, abs=1e-12)
     assert pulses[0].label == "fold(+,q=1)"
     state3 = random_qudit_state(3, 0)
-    pulses, _ = _fold(state3.amplitudes, -1, 2, OPTS, ModelParams(3))
+    pulses, _ = fold(state3, -1, 2)
     assert pulses[0].delta_01 == pytest.approx(FOLD_DELTA_MINUS_Q2, abs=1e-12)
 
 
@@ -82,7 +91,7 @@ def test_phase_pulse_duration_oracle():
 
 def test_fold_pair_validation():
     with pytest.raises(ValueError):
-        _fold(random_qudit_state(2, 0).amplitudes, 1, 0, OPTS, ModelParams(2))
+        _pulse_kind("fold(+,q=0)", 2)
     with pytest.raises(ValueError):
         CompileOptions(omega_01=0.0)
     with pytest.raises(ValueError):
@@ -206,8 +215,7 @@ def test_fold_stage_monotonicity(seed):
     eff = random_qudit_state(N, seed)
     for level in range(N, 1, -1):
         for s in (+1, -1):
-            _, vec = _fold(eff.amplitudes, s, level - 1, OPTS, ModelParams(N))
-            eff = QuditState(vec)
+            eff = QuditState(fold(eff, s, level - 1)[1])
     doublet = {MINUS1.position(), DressedIndex.branch(+1, 1).position()}
     for pos in range(2 * N + 1):
         if pos not in doublet:
@@ -404,6 +412,62 @@ def test_compile_unitary_skip_zero_phases():
     assert eps <= 1e-3
 
 
+def sequential_unitary(U, opts):
+    """compile_unitary's definition: one compile_phase_gate per kept eigenpair, in order."""
+    phases, vectors = unitary_eigensystem(U)
+    schedule = PulseSchedule(ModelParams(len(U) // 2))
+    for alpha, v in zip(phases, vectors.T):
+        if opts.skip_zero_phases and abs(wrap_phase(alpha)) < compiler._ZERO_PHASE_EPS:
+            continue
+        state = QuditState.from_vector(np.concatenate(([0.0], v)), normalize=True)
+        schedule = schedule.concat(compile_phase_gate(state, float(alpha), opts))
+    return schedule
+
+
+LOCKSTEP_UNITARIES = {
+    "hadamard-N3": lambda: hadamard_target(3),
+    "haar-N4": lambda: unitary_group.rvs(8, random_state=4),
+    "identity-N2": lambda: np.eye(4, dtype=complex),
+    "hadamard-N1": lambda: hadamard_target(1),
+}
+
+
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("variant", ["plain", "tilde"])
+@pytest.mark.parametrize("case", LOCKSTEP_UNITARIES, ids=LOCKSTEP_UNITARIES.keys())
+def test_compile_unitary_equals_its_phase_gates_in_sequence(case, variant, skip):
+    # the phase gates' forward passes are compiled in lockstep; each must be
+    # the bytes of its own compile_phase_gate
+    from rydqudit.cli import schedule_to_json
+
+    U = LOCKSTEP_UNITARIES[case]()
+    opts = CompileOptions(omega_01=1e-2, fold_variant=variant, skip_zero_phases=skip)
+    schedule = compile_unitary(U, opts)
+    assert schedule_to_json(schedule) == schedule_to_json(sequential_unitary(U, opts))
+    if case == "identity-N2":
+        assert (len(schedule) == 0) == skip     # skipping leaves an empty batch
+    if case == "hadamard-N1":
+        assert schedule.pulses and not any("fold" in p.label for p in schedule.pulses)
+
+
+def test_compile_unitary_diagonalises_each_fold_step_in_one_eigh(monkeypatch):
+    U = hadamard_target(9)
+    opts = CompileOptions(omega_01=1e-2)
+    warm = _fields(compile_unitary(U, opts))    # fills the doublet and calibration caches
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert _fields(compile_unitary(U, opts)) == warm
+    # matrices, not calls: a stacked eigh diagonalises its leading dimensions
+    assert sum(math.prod(shape[:-2]) for shape in calls) == 280
+    assert len(calls) <= 2 * (9 - 1)
+
+
 def test_compile_unitary_validation():
     with pytest.raises(ValueError):
         compile_unitary(np.eye(3), OPTS)
@@ -515,10 +579,14 @@ def label_effective(params, pulse):
     return Heff
 
 
-def label_advance(vec, params, pulses, pair=None):
-    for p in pulses:
-        vec = _evolve(label_effective(params, p), p.T, vec)
-    return vec / np.linalg.norm(vec)
+def label_advance(vecs, params, pulses, pair=None):
+    """_advance one row at a time, each pulse's Hamiltonian built from its label."""
+    out = []
+    for vec, mine in zip(vecs, pulses):
+        for p in mine:
+            vec = _evolve(label_effective(params, p), p.T, vec)
+        out.append(vec / np.linalg.norm(vec))
+    return np.array(out)
 
 
 def pair_rotations(params, w, seed):

@@ -88,7 +88,8 @@ def test_position_rule_matches_dressed_index():
 
 
 @pytest.mark.parametrize("N", [True, False, 2.5, 3.0, "3", None, np.float64(2.0), 0, -1,
-                               np.int64(0), np.bool_(True), math.nan, math.inf])
+                               np.int64(0), np.bool_(True), math.nan, math.inf,
+                               ModelParams.N_MAX + 1, 10**5, np.int64(10**5)])
 def test_model_params_rejects_what_is_not_an_atom_count(N):
     with pytest.raises(ValueError, match="atom count"):
         ModelParams(N)

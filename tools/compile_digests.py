@@ -10,8 +10,11 @@ of each measure_projection value, and the repr of the phase-pulse and
 doublet calibrations.  The cases are state prep, a Haar phase gate
 (Phi = -2.3), a uniform phase gate (pi/2) and a readout at N in {1, 2, 3, 5,
 9}, ratio in {1e-3, 1e-2}, plain and tilde folds; Hadamard with and without
-skip_zero_phases at N <= 3 and N = 9, ratio 1e-2; measure_projection with
-plain folds; and one inverted full-control schedule.  It also prints the
+skip_zero_phases at N <= 3 and N = 9, ratio 1e-2, and with tilde folds at N
+in {3, 5}; seeded Haar unitaries at N in {3, 5}, both ratios, plain and tilde
+folds; the identity with skip_zero_phases, which compiles no phase gate;
+measure_projection with plain folds; and one inverted full-control
+schedule.  It also prints the
 SHA-256 of build_total's bytes at N in {1, 2, 3, 9}, omega_1r in {0, 0.7,
 1, 2.5} and phi_1r in {0, pi/2, pi, -2}, without and with a control term
 (omega_01 = 0.3, phi_01 = 0.7, delta_01 = 0.2), and float.hex of the 3^N
@@ -116,6 +119,12 @@ def main() -> None:
         v[0] = 0.0
         return rq.QuditState.from_vector(v, normalize=True)
 
+    def haar_unitary(N: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng((seed, N))
+        Z = rng.normal(size=(2 * N, 2 * N)) + 1j * rng.normal(size=(2 * N, 2 * N))
+        Q, R = np.linalg.qr(Z)
+        return Q * (np.diag(R) / np.abs(np.diag(R)))
+
     out = {}
     values = {}     # each case's operator or measurement, for --dump
     round_trip_failures = []
@@ -149,6 +158,16 @@ def main() -> None:
             opts = rq.CompileOptions(omega_01=1e-2, skip_zero_phases=skip)
             digest(f"hadamard N={N} skip_zero_phases={skip}",
                    rq.compile_unitary(rq.hadamard_target(N), opts))
+    for N in (3, 5):
+        opts = rq.CompileOptions(omega_01=1e-2, fold_variant="tilde")
+        digest(f"hadamard N={N} ratio=0.01 tilde", rq.compile_unitary(rq.hadamard_target(N), opts))
+        for ratio in RATIOS:
+            for variant in VARIANTS:
+                opts = rq.CompileOptions(omega_01=ratio, fold_variant=variant)
+                digest(f"unitary haar N={N} ratio={ratio!r} {variant}",
+                       rq.compile_unitary(haar_unitary(N, 6), opts))
+    digest("identity N=3 skip_zero_phases=True",
+           rq.compile_unitary(np.eye(6), rq.CompileOptions(omega_01=1e-2, skip_zero_phases=True)))
     forward = rq.compile_full_control(haar(5, 5), rq.CompileOptions(omega_01=1e-2,
                                                                     fold_variant="tilde"))
     digest("inverted full control N=5 ratio=0.01 tilde", rq.invert_full_control(forward))
