@@ -51,6 +51,7 @@ from .compiler import (
 from .metrics import (
     DecayParams,
     ScanResult,
+    _scan_grid,
     decay_estimate,
     decay_survival,
     feasibility_frontier,
@@ -374,6 +375,7 @@ def cmd_scan(kind: str, n_list: tuple[int, ...], ratio_list: tuple[float, ...],
              omega1r_hz: Optional[float], jobs: int, output: str,
              frontier_out: Optional[str]) -> None:
     """Compile + simulate a (N, ratio) grid and export it as CSV."""
+    _scan_grid(n_list, ratio_list)      # every atom count and ratio, before any worker starts
     decay = _decay_from_flags(gamma_r, gamma_r_hz, omega1r_hz)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -59,7 +59,6 @@ from .propagator import (
     _evolve,
     _gauge,
     _propagate,
-    schedule_operator,
 )
 
 _SIGNS = {"+": 1, "-": -1}
@@ -620,12 +619,11 @@ class _FoldPropagator:
     fall: np.ndarray
     w: np.ndarray
     V: np.ndarray
-    N: int
 
-    def __call__(self, phi_01: float, T: float, X: np.ndarray) -> np.ndarray:
-        """Apply the whole fold, with a flat top of duration T, to X."""
-        z = _gauge(self.N, phi_01, X.ndim)
-        return z * (self.fall @ _propagate(self.w, self.V, T, self.rise @ (z.conj() * X)))
+    def __call__(self, phi_01: float, T: float, x: np.ndarray) -> np.ndarray:
+        """Apply the whole fold, with a flat top of duration T, to the state x."""
+        z = _gauge(len(x) // 2, phi_01)
+        return z * (self.fall @ _propagate(self.w, self.V, T, self.rise @ (z.conj() * x)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,9 +635,6 @@ class _ShapedFold:
     """
 
     pair: tuple[int, int]           # (target, other) positions
-    h0: complex                     # resonant coupling element at phi_01 = 0
-    h1: complex                     # the same at phi_01 = 0.5
-    rate: float                     # the pair's rotation rate on the flat top
     edge_angle: float               # the pair's rotation angle under both edges together
     edge: tuple[PulseParams, ...]   # rising edge in time order
     flat: PulseParams               # flat top; its duration is set per fold
@@ -665,8 +660,7 @@ class _ShapedFold:
         w, V = np.linalg.eigh(model(_step_hamiltonian(self.bare, self.control, 1.0,
                                                       self.flat.delta_01)))
         return _FoldPropagator(reduce(lambda acc, u: u @ acc, steps),
-                               reduce(lambda acc, u: u @ acc, steps[::-1]), w, V,
-                               len(self.bare) // 2)
+                               reduce(lambda acc, u: u @ acc, steps[::-1]), w, V)
 
 
 def _step_hamiltonian(bare: np.ndarray, control: np.ndarray, amplitude: float,
@@ -694,11 +688,9 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
 
     edge = tuple(segment(float(a)) for a in _EDGE_PROFILE)
     flat = segment(1.0)
-    h0 = complex(control[pair])
-    rate = 2.0 * abs(h0)
+    rate = _pair_coupling(params.N, omega_01, pair)[2]
     edge_angle = 2.0 * rate * sum(p.T * p.omega_01 for p in edge) / flat.omega_01
-    h1 = complex(control_element(params, omega_01, 0.5, *pair))
-    return _ShapedFold(pair, h0, h1, rate, edge_angle, edge, flat, bare, control)
+    return _ShapedFold(pair, edge_angle, edge, flat, bare, control)
 
 
 def _readout(target: QuditState, opts: CompileOptions
@@ -719,12 +711,13 @@ def _readout(target: QuditState, opts: CompileOptions
             u, weight = _pair_bloch(eff / np.linalg.norm(eff), *fold.pair)
             if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
                 continue
-            phi_01, turn = _pair_axis(fold.h0, fold.h1, u)
+            h0, h1, rate = _pair_coupling(params.N, opts.omega_01, fold.pair)
+            phi_01, turn = _pair_axis(h0, h1, u)
             if turn < fold.edge_angle:
                 # the edges alone turn too far: go round the other way
                 phi_01, turn = phi_01 + math.pi, TAU - turn
             turn += TAU * math.ceil(max(0.0, fold.edge_angle - turn) / TAU)
-            phi_01, T = wrap_phase(phi_01), (turn - fold.edge_angle) / fold.rate
+            phi_01, T = wrap_phase(phi_01), (turn - fold.edge_angle) / rate
             eff = fold.effective(phi_01, T, eff)
             folds.append((fold, phi_01, T))
     doublet, final = _doublet_pulses(eff / np.linalg.norm(eff), params)
@@ -752,17 +745,18 @@ def measure_projection(state: QuditState, target: QuditState,
                        opts: CompileOptions) -> float:
     """Projective-measurement probability |<target|state>|^2 via simulation.
 
-    Applies the readout of the target (compile_readout), which carries the
-    target onto |-,1>, and reads the |-,1> population of the mapped state.
-    It is propagated exactly from the recorded folds, building no pulse of
-    theirs: each fold's edge products and flat-top eigensystem are computed
-    once per fold and control amplitude.
+    Carries the state through the readout of the target (compile_readout),
+    which maps the target onto |-,1>, and reads its |-,1> population.  The
+    folds are applied from their records through cached edge products and
+    flat-top eigensystems, the doublet through the bare eigensystems that
+    compile caches, so a warm call builds no fold pulse and diagonalises
+    nothing.
     """
     if state.N != target.N:
         raise ValueError("state and target dimensions differ")
     folds, doublet = _readout(target, opts)
-    U = np.eye(doublet.params.dim, dtype=complex)
+    psi = state.amplitudes
     for fold, phi_01, T in folds:
-        U = fold.full(phi_01, T, U)
-    final = (schedule_operator(doublet) @ U) @ state.amplitudes
-    return float(abs(final[_MINUS1]) ** 2)
+        psi = fold.full(phi_01, T, psi)
+    psi = _advance(psi[None], doublet.params, [doublet.pulses], None)[0]
+    return float(abs(psi[_MINUS1]) ** 2)

@@ -153,6 +153,7 @@ def _excitations(N: int) -> np.ndarray:
 
 def level_ordering(N: int) -> list[DressedIndex]:
     """Canonical list of the 2N+1 levels, ground first."""
+    ModelParams(N)      # the atom-count rule, before anything is sized by N
     levels = [DressedIndex.ground()]
     for q in range(1, N + 1):
         levels.append(DressedIndex.branch(-1, q))
@@ -228,14 +229,14 @@ class QuditState:
 
     @classmethod
     def basis_state(cls, N: int, idx: DressedIndex) -> "QuditState":
-        amp = np.zeros(2 * N + 1, dtype=complex)
+        amp = np.zeros(ModelParams(N).dim, dtype=complex)
         amp[_level_position(idx, N)] = 1.0
         return cls(amp)
 
     @classmethod
     def uniform(cls, N: int) -> "QuditState":
         """Equal superposition of all 2N qudit levels (no ground component)."""
-        amp = np.full(2 * N + 1, 1.0 / math.sqrt(2 * N), dtype=complex)
+        amp = np.full(ModelParams(N).dim, 1.0 / math.sqrt(2 * N), dtype=complex)
         amp[0] = 0.0
         return cls(amp)
 

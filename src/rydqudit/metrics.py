@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     DressedIndex,
+    ModelParams,
     QuditState,
     _number,
     hadamard_target,
@@ -134,8 +135,7 @@ def _haar_state(N: int, seed: int) -> QuditState:
     return QuditState.from_vector(v, normalize=True)
 
 
-def _scan_point(kind: str, N: int, ratio: float, seed: int) -> tuple[float, PulseSchedule]:
-    opts = CompileOptions(omega_01=ratio)
+def _scan_point(kind: str, N: int, opts: CompileOptions, seed: int) -> tuple[float, PulseSchedule]:
     if kind == "phase":
         target = QuditState.uniform(N)
         schedule = compile_phase_gate(target, math.pi / 2, opts)
@@ -146,14 +146,12 @@ def _scan_point(kind: str, N: int, ratio: float, seed: int) -> tuple[float, Puls
         goal = hadamard_target(N)
         schedule = compile_unitary(goal, opts)
         eps = infidelity(goal, extract_gate(schedule).gate)
-    elif kind == "prep":
+    else:
         target = _haar_state(N, seed)
         schedule = compile_state_prep(target, opts)
         ground = QuditState.basis_state(N, DressedIndex.ground())
         out = run_schedule(ground, schedule, samples_per_pulse=1).final_state
         eps = float(min(max(1.0 - abs(out.overlap(target)) ** 2, 0.0), 1.0))
-    else:
-        raise ValueError(f"unknown scan kind {kind!r}")
     return eps, schedule
 
 
@@ -163,19 +161,27 @@ def scan(kind: str, Ns: Sequence[int], ratios: Sequence[float],
 
     Durations come from the actual schedules; the decay probability uses the
     closed-form half-population estimate.  Deterministic for a fixed seed.
+    Every atom count and ratio is checked before the first point is compiled.
     """
     if not Ns or not ratios:
         raise ValueError("scan requires nonempty N and ratio lists")
     if kind not in SCAN_KINDS:
         raise ValueError(f"unknown scan kind {kind!r}")
+    Ns, options = _scan_grid(Ns, ratios)
     rows = []
     for N in Ns:
-        for ratio in ratios:
-            eps, schedule = _scan_point(kind, N, ratio, seed)
+        for ratio, opts in zip(ratios, options):
+            eps, schedule = _scan_point(kind, N, opts, seed)
             T_tot = schedule.total_duration
             rows.append(ScanRow(N, float(ratio), kind, eps, T_tot, len(schedule),
                                 1.0 - decay_estimate(T_tot, decay)))
     return ScanResult(tuple(rows))
+
+
+def _scan_grid(Ns: Sequence[int], ratios: Sequence[float]
+               ) -> tuple[list[int], list[CompileOptions]]:
+    """The grid's atom counts and compile options, each checked by its own type."""
+    return [ModelParams(N).N for N in Ns], [CompileOptions(omega_01=r) for r in ratios]
 
 
 @dataclass(frozen=True)
@@ -187,26 +193,25 @@ class FrontierVerdict:
     crossing_infidelity: Optional[float]
 
 
-def feasibility_frontier(result: ScanResult,
-                         error_cap: Optional[float] = None) -> tuple[FrontierVerdict, ...]:
+def feasibility_frontier(result: ScanResult) -> tuple[FrontierVerdict, ...]:
     """Per-N feasibility: decay probability below the infidelity at a usable error.
 
     The infidelity grows with the control amplitude while the decay
     probability shrinks, so the two always cross; the crossing alone says
     nothing about qudit size.  A size counts as feasible when the crossing
     infidelity (the best gate error achievable without decay dominating) is
-    below an error cap.  The default caps are frozen per gate kind,
-    calibrated so that simulated durations and infidelities (which carry
-    order-10 prefactors absent from back-of-envelope scaling formulas)
-    reproduce the expected feasible sizes at Gamma_r^-1 = 100 us,
-    omega_1r/2pi = 300 MHz.  A kind without a frozen cap needs error_cap.
+    below an error cap.  The caps are frozen per gate kind, calibrated so
+    that simulated durations and infidelities (which carry order-10
+    prefactors absent from back-of-envelope scaling formulas) reproduce the
+    expected feasible sizes at Gamma_r^-1 = 100 us, omega_1r/2pi = 300 MHz.
+    A kind without a frozen cap raises.
     """
     verdicts = []
     keys = sorted({(r.kind, r.N) for r in result.rows}, key=lambda k: (k[0], k[1]))
     for kind, N in keys:
-        cap = error_cap if error_cap is not None else FEASIBILITY_ERROR_CAPS.get(kind)
+        cap = FEASIBILITY_ERROR_CAPS.get(kind)
         if cap is None:
-            raise ValueError(f"no calibrated error cap for kind {kind!r}; pass error_cap")
+            raise ValueError(f"no calibrated error cap for kind {kind!r}")
         rows = sorted((r for r in result.rows if r.kind == kind and r.N == N),
                       key=lambda r: r.ratio)
         crossing = next((r for r in rows if r.decay_probability <= r.infidelity), None)

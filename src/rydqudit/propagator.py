@@ -136,13 +136,9 @@ def _real_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gauge(N: int, phi_01: float, ndim: int = 1) -> np.ndarray:
-    """Diagonal of Z = diag(exp(-i phi_01 q)), with H(phi_01) = Z H(0) Z^dag.
-
-    Shaped to scale the rows of an ndim-dimensional array (a column for a
-    matrix), and, for ndim = 1, the components of every stacked state.
-    """
-    return np.exp(-1j * phi_01 * _excitations(N)).reshape((-1,) + (1,) * (ndim - 1))
+def _gauge(N: int, phi_01: float) -> np.ndarray:
+    """Diagonal of Z = diag(exp(-i phi_01 q)), with H(phi_01) = Z H(0) Z^dag."""
+    return np.exp(-1j * phi_01 * _excitations(N))
 
 
 def _key_table(params: ModelParams, pulses: list[PulseParams]

@@ -648,6 +648,100 @@ def test_atom_count_beyond_the_cap_exits_2_before_sizing_anything(runner, tmp_pa
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("N", [0, -3, 10**12])
+@pytest.mark.parametrize("kind", ["phase", "prep"])
+def test_scan_applies_the_atom_count_rule_before_it_compiles_or_starts_workers(
+        runner, tmp_path, monkeypatch, kind, N, jobs):
+    # unchecked, N = 0 divides by zero in a phase scan and normalizes the zero
+    # vector in a prep scan, and N = 10**12 asks numpy for terabytes
+    import concurrent.futures
+    monkeypatch.setattr(cli, "scan", refuse_to_size)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse_to_size)
+    out = tmp_path / "s.csv"
+    res = runner.invoke(main, ["scan", "--kind", kind, "-N", "2", "-N", str(N),
+                               "--ratio", "1e-2", "--jobs", jobs, "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"atom count N must be between 1 and {ModelParams.N_MAX}, got {N}" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def compiled_schedule(runner, tmp_path, *args):
+    path = tmp_path / "s.json"
+    res = runner.invoke(main, ["compile", *args, "--ratio", "1e-2", "-o", str(path)])
+    assert res.exit_code == 0, res.output
+    return str(path)
+
+
+def test_simulate_expect_hadamard_reports_the_infidelity(runner, tmp_path):
+    path = compiled_schedule(runner, tmp_path, "--gate", "hadamard", "-N", "2")
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, ["simulate", path, "--expect", "hadamard", "--report", str(report)])
+    assert res.exit_code == 0, res.output
+    assert "infidelity" in res.output
+    assert 0.0 <= json.loads(report.read_text())["infidelity"] < 1e-2
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--trajectory", "{tmp}/t.csv"], "--trajectory requires --initial"),
+    (["--gamma-r-hz", "1e3"], "--gamma-r-hz and --omega1r-hz must be given together"),
+], ids=["trajectory-without-initial", "gamma-hz-without-omega"])
+def test_simulate_rejects_incomplete_flag_pairs(runner, tmp_path, args, message):
+    path = compiled_schedule(runner, tmp_path, "--gate", "phase", "-N", "2")
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, ["simulate", path, "--report", str(report),
+                               *[a.format(tmp=tmp_path) for a in args]])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def test_simulate_from_the_g0_preset(runner, tmp_path):
+    assert parse_state("g0", 2).ground_population() == 1.0
+    path = compiled_schedule(runner, tmp_path, "--gate", "phase", "-N", "2")
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, ["simulate", path, "--initial", "g0", "--report", str(report)])
+    assert res.exit_code == 0, res.output
+    assert "pulse_count" in res.output and report.exists()
+
+
+def test_state_file_with_three_columns_exits_2(runner, tmp_path):
+    state = tmp_path / "state.txt"
+    state.write_text("0 1 0\n1 0 0\n0 0 0\n0 0 0\n0 0 0\n")
+    out = tmp_path / "s.json"
+    res = runner.invoke(main, ["compile", "--gate", "prep", "-N", "2", "--ratio", "1e-2",
+                               "--target", str(state), "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "state file must have two columns" in res.output
+    assert not out.exists()
+
+
+def test_compile_unitary_of_the_wrong_size_exits_2(runner, tmp_path):
+    mat_path = tmp_path / "u.json"
+    mat_path.write_text(json.dumps([[[float(i == j), 0.0] for j in range(4)] for i in range(4)]))
+    out = tmp_path / "s.json"
+    res = runner.invoke(main, ["compile", "--gate", "unitary", "-N", "3", "--ratio", "1e-2",
+                               "--unitary", str(mat_path), "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "matrix dimension 4 does not match N=3" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("positions,args,message", [
+    ([[0, 0, 0], [1, 0, 0]], ["--initial", "uniform"], "single dressed basis level"),
+    ([[x, y, 0] for x in range(3) for y in range(3)], [], "capped at 8 sites"),
+], ids=["superposed-initial", "nine-sites"])
+def test_validate_configuration_errors_exit_2(runner, tmp_path, positions, args, message):
+    geom_path = tmp_path / "g.json"
+    geom_path.write_text(json.dumps({"positions": positions, "a": 1.0, "lambda": 0.5,
+                                     "C6": 1e6, "d": 2}))
+    out = tmp_path / "v.json"
+    res = runner.invoke(main, ["validate", str(geom_path), *args, "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not out.exists()
+
+
 def test_schedule_document_accepts_integer_fields_and_no_label():
     doc = json.loads(schedule_to_json(sample_schedule()))
     doc["pulses"][0].update(T=3, delta_01=0)

@@ -178,6 +178,59 @@ def test_measure_projection_builds_no_readout_pulses(monkeypatch):
     assert any(label.endswith(":shaped") for label in labels)
 
 
+def test_warm_measure_projection_moves_one_state_and_diagonalises_nothing(monkeypatch):
+    # the folds act on the state vector and the closing doublet reads the
+    # cached bare eigensystems, so a warm measurement needs no eigh
+    N = 5
+    opts = CompileOptions(omega_01=1e-2)
+    target, state = random_qudit_state(N, 7), random_qudit_state(N, 8)
+    warm = measure_projection(state, target, opts)
+    eigh_calls, operand_ndims = [], []
+    eigh, apply_fold = np.linalg.eigh, compiler._FoldPropagator.__call__
+
+    def counting_eigh(*args, **kwargs):
+        eigh_calls.append(1)
+        return eigh(*args, **kwargs)
+
+    def recording_fold(self, phi_01, T, x):
+        operand_ndims.append(np.ndim(x))
+        return apply_fold(self, phi_01, T, x)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(compiler._FoldPropagator, "__call__", recording_fold)
+    assert measure_projection(state, target, opts) == warm
+    assert eigh_calls == []
+    assert operand_ndims and set(operand_ndims) == {1}
+
+
+def test_measure_projection_rejects_a_state_of_another_atom_count():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        measure_projection(random_qudit_state(2, 0), random_qudit_state(3, 0), OPTS)
+
+
+def test_readout_fold_turns_the_other_way_when_its_edges_overshoot():
+    # the first fold (+, q=2) of N = 3 must turn its pair by less than its
+    # edges alone turn it, though by more than the skip threshold, so it
+    # goes round the other way with a flat top longer than a half turn
+    N = 3
+    opts = CompileOptions(omega_01=1e-2)
+    first = compiler._shaped_fold(ModelParams(N), opts.omega_01, +1, 2)
+    target_level, other_level = first.pair
+    amp = np.zeros(2 * N + 1, dtype=complex)
+    amp[target_level] = 1.0
+    amp[other_level] = 0.3 * first.edge_angle / 2
+    amp[MINUS1.position()] = 0.5
+    target = QuditState.from_vector(amp, normalize=True)
+    (fold, _, T), *_ = compiler._readout(target, opts)[0]
+    rate = compiler._pair_coupling(N, opts.omega_01, first.pair)[2]
+    assert fold is first and T > math.pi / rate
+    state = random_qudit_state(N, 0)
+    p = measure_projection(state, target, opts)
+    assert p == pytest.approx(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2, abs=1e-3)
+    final = schedule_operator(compile_readout(target, opts)) @ state.amplitudes
+    assert p == pytest.approx(abs(final[MINUS1.position()]) ** 2, abs=1e-9)
+
+
 def test_readout_builds_each_fold_propagator_on_first_use():
     # compile_readout evolves the effective model only, measure_projection the
     # full one as well, and a fold that emits nothing needs neither

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,32 @@ def test_position_rule_matches_dressed_index():
 def test_model_params_rejects_what_is_not_an_atom_count(N):
     with pytest.raises(ValueError, match="atom count"):
         ModelParams(N)
+
+
+def assert_refused_before_sizing(build, N):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="atom count"):
+            build(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("N", [0, -3, ModelParams.N_MAX + 1, 10**6, 10**12])
+@pytest.mark.parametrize("build", [
+    QuditState.uniform,
+    lambda N: QuditState.basis_state(N, DressedIndex.ground()),
+], ids=["uniform", "basis_state"])
+def test_states_apply_the_atom_count_rule_before_sizing_anything(build, N):
+    assert_refused_before_sizing(build, N)
+
+
+# level_ordering builds one Python object per level, so its cases stay small
+@pytest.mark.parametrize("N", [0, -3, ModelParams.N_MAX + 1, 10**5])
+def test_level_ordering_applies_the_atom_count_rule(N):
+    assert_refused_before_sizing(level_ordering, N)
 
 
 @pytest.mark.parametrize("N", [3, np.int64(3), np.int32(3), np.uint8(3)])

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
+from rydqudit import metrics
 from rydqudit.core import DressedIndex, ModelParams, PulseParams, QuditState
 from rydqudit.propagator import PulseSchedule, run_schedule
 from rydqudit.metrics import (
+    FEASIBILITY_ERROR_CAPS,
     DecayParams,
     FrontierVerdict,
     ScanResult,
@@ -135,6 +137,25 @@ def test_scan_validation():
         scan("mystery", [2], [1e-3], DecayParams(0.0))
 
 
+def refuse_to_compile(*args, **kwargs):
+    raise AssertionError("compiled a scan point")
+
+
+@pytest.mark.parametrize("Ns,ratios,message", [
+    ([2, 0], [1e-2], "atom count"),
+    ([2, -3], [1e-2], "atom count"),
+    ([2, 10**12], [1e-2], "atom count"),
+    ([2], [1e-2, -1.0], "omega_01"),
+    ([2], [1e-2, math.inf], "omega_01"),
+], ids=["zero", "negative", "huge", "negative-ratio", "infinite-ratio"])
+def test_scan_checks_every_atom_count_and_ratio_before_it_compiles(monkeypatch, Ns, ratios,
+                                                                    message):
+    monkeypatch.setattr(metrics, "_scan_point", refuse_to_compile)
+    for kind in ("phase", "prep"):
+        with pytest.raises(ValueError, match=message):
+            scan(kind, Ns, ratios, DecayParams(0.0))
+
+
 def test_scan_prep_seeded_targets_differ_by_n():
     result = scan("prep", [2, 3], [1e-2], DecayParams(0.0), seed=0)
     assert {r.N for r in result.rows} == {2, 3}
@@ -164,10 +185,12 @@ def test_feasibility_frontier_no_crossing():
     assert v.crossing_ratio is None and v.crossing_infidelity is None
 
 
-def test_feasibility_frontier_custom_cap():
-    rows = _rows("phase", 5, [(1e-2, 0.05, 0.01)])
-    assert feasibility_frontier(ScanResult(tuple(rows)), error_cap=0.1)[0].feasible
-    assert not feasibility_frontier(ScanResult(tuple(rows)), error_cap=0.01)[0].feasible
+def test_feasibility_frontier_judges_each_kind_against_its_frozen_cap():
+    # a crossing at an infidelity of 0.3 is usable for a Hadamard, not for a phase gate
+    assert FEASIBILITY_ERROR_CAPS["phase"] < 0.3 < FEASIBILITY_ERROR_CAPS["hadamard"]
+    for kind, feasible in (("phase", False), ("hadamard", True)):
+        rows = _rows(kind, 5, [(1e-2, 0.3, 0.01)])
+        assert feasibility_frontier(ScanResult(tuple(rows)))[0].feasible is feasible
 
 
 def test_feasibility_frontier_needs_a_cap_for_an_uncalibrated_kind():
@@ -175,5 +198,4 @@ def test_feasibility_frontier_needs_a_cap_for_an_uncalibrated_kind():
     rows = _rows("hadamrd", 8, [(1e-2, 0.55, 0.01)])
     with pytest.raises(ValueError, match="hadamrd"):
         feasibility_frontier(ScanResult(tuple(rows)))
-    assert feasibility_frontier(ScanResult(tuple(rows)), error_cap=0.6)[0].feasible
     assert feasibility_frontier(ScanResult(tuple(_rows("hadamard", 8, [(1e-2, 0.55, 0.01)]))))[0].feasible

@@ -251,7 +251,7 @@ def reference_evolver(params):
         if key not in table:
             table[key] = (pulse.phi_01, *np.linalg.eigh(build_total(params, pulse)))
         phi_01, w, V = table[key]
-        z = _gauge(params.N, pulse.phi_01 - phi_01, X.ndim)
+        z = _gauge(params.N, pulse.phi_01 - phi_01)
         return z * _propagate(w, V, T, z.conj() * X)
 
     return evolve

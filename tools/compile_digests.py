@@ -13,18 +13,20 @@ doublet calibrations.  The cases are state prep, a Haar phase gate
 skip_zero_phases at N <= 3 and N = 9, ratio 1e-2, and with tilde folds at N
 in {3, 5}; seeded Haar unitaries at N in {3, 5}, both ratios, plain and tilde
 folds; the identity with skip_zero_phases, which compiles no phase gate;
-measure_projection with plain folds; and one inverted full-control
-schedule.  It also prints the
-SHA-256 of build_total's bytes at N in {1, 2, 3, 9}, omega_1r in {0, 0.7,
-1, 2.5} and phi_1r in {0, pi/2, pi, -2}, without and with a control term
-(omega_01 = 0.3, phi_01 = 0.7, delta_01 = 0.2), and float.hex of the 3^N
-oracle's compare_spectrum and compare_evolution (T = 10 from |-,1>) for the
-equilateral triangle at C6 = 1e3 and a seeded jittered 2x2 square at C6 =
-1e4, under a pulse with nonzero phi_1r, phi_01 and delta_01.  These calls
-keep one signature across checkouts.  One more entry,
-_schedule_round_trip_failures, counts the schedule cases whose JSON document
-does not come back byte for byte from schedule_to_json(schedule_from_json(
-text)); it reads 0.
+measure_projection with plain folds; state prep, readout and
+measure_projection at N = 12, ratio 1e-3, plain folds, the size the
+benchmark's prep_trajectory runs; and one inverted full-control schedule.
+It also prints the SHA-256 of build_total's bytes at N in {1, 2, 3, 9},
+omega_1r in {0, 0.7, 1, 2.5} and phi_1r in {0, pi/2, pi, -2}, without and
+with a control term (omega_01 = 0.3, phi_01 = 0.7, delta_01 = 0.2), and
+float.hex of the 3^N oracle's compare_spectrum and compare_evolution (T =
+10 from |-,1>) for the equilateral triangle at C6 = 1e3, a seeded jittered
+2x2 square at C6 = 1e4 and a seeded jittered 3x2 array at C6 = 1e4 (the
+6-site arrays of the benchmark's oracle_n6), under a pulse with nonzero
+phi_1r, phi_01 and delta_01.  These calls keep one signature across
+checkouts.  One more entry, _schedule_round_trip_failures, counts the
+schedule cases whose JSON document does not come back byte for byte from
+schedule_to_json(schedule_from_json(text)); it reads 0.
 
 The bits depend on the numpy and LAPACK build, so compare two checkouts on
 one machine, never against a stored file.  BLAS runs on one thread unless
@@ -129,6 +131,12 @@ def main() -> None:
     values = {}     # each case's operator or measurement, for --dump
     round_trip_failures = []
 
+    def measure(N: int, ratio: float) -> None:
+        name = f"{_MEASURE}N={N} ratio={ratio!r}"
+        values[name] = rq.measure_projection(haar(N, 4), haar(N, 3),
+                                             rq.CompileOptions(omega_01=ratio))
+        out[name] = float.hex(values[name])
+
     def digest(name: str, schedule: rq.PulseSchedule) -> None:
         text = schedule_to_json(schedule)
         if schedule_to_json(schedule_from_json(text)) != text:
@@ -149,10 +157,11 @@ def main() -> None:
                 digest(f"phase uniform {case}",
                        rq.compile_phase_gate(rq.QuditState.uniform(N), math.pi / 2, opts))
                 digest(f"readout {case}", rq.compile_readout(haar(N, 3), opts))
-            opts = rq.CompileOptions(omega_01=ratio)
-            name = f"{_MEASURE}N={N} ratio={ratio!r}"
-            values[name] = rq.measure_projection(haar(N, 4), haar(N, 3), opts)
-            out[name] = float.hex(values[name])
+            measure(N, ratio)
+    opts = rq.CompileOptions(omega_01=1e-3)
+    digest("prep N=12 ratio=0.001 plain", rq.compile_state_prep(haar(12, 1), opts))
+    digest("readout N=12 ratio=0.001 plain", rq.compile_readout(haar(12, 3), opts))
+    measure(12, 1e-3)
     for N in (1, 2, 3, 9):
         for skip in (False, True):
             opts = rq.CompileOptions(omega_01=1e-2, skip_zero_phases=skip)
@@ -181,12 +190,18 @@ def main() -> None:
                         f"control={control}"] = _sha256(H.tobytes())
     h = math.sqrt(3) / 2
     jitter = np.random.default_rng(7).uniform(-0.1, 0.1, size=(4, 2))
+    jitter_3x2 = np.random.default_rng(8).uniform(-0.1, 0.1, size=(6, 2))
     geometries = {
         "triangle C6=1e3": rq.Geometry(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, h, 0.0)),
                                        1.0, 0.5, 1e3, 2),
         "jittered square seed=7 C6=1e4": rq.Geometry(
             tuple((float(x + dx), float(y + dy), 0.0)
                   for (x, y), (dx, dy) in zip(((0, 0), (1, 0), (0, 1), (1, 1)), jitter)),
+            1.0, 0.5, 1e4, 2),
+        "jittered 3x2 seed=8 C6=1e4": rq.Geometry(
+            tuple((float(x + dx), float(y + dy), 0.0)
+                  for (x, y), (dx, dy) in zip(((x, y) for y in range(2) for x in range(3)),
+                                              jitter_3x2)),
             1.0, 0.5, 1e4, 2),
     }
     pulse = rq.PulseParams(*ORACLE_PULSE)
