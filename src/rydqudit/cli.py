@@ -4,7 +4,8 @@ Owns the interchange formats: schedule documents and reports as JSON,
 trajectories and scans as CSV.  All floats are serialized with repr, the
 shortest string that round-trips (at most 17 significant digits), so
 round-trips are lossless and identical inputs give byte-identical files;
-output files are written atomically.
+output files are written atomically.  A schedule document is written by
+filling fixed templates, byte for byte what json.dumps(indent=2) writes.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/contract failure.
 """
@@ -18,6 +19,7 @@ import operator
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import click
@@ -74,33 +76,37 @@ EXIT_NUMERIC = 3
 
 # ---------------------------------------------------------------- serialization
 
-_ENTRY_KEYS = ("label", *_PULSE_FIELDS)
-_pulse_entry = operator.attrgetter(*_ENTRY_KEYS)
 _pulse_values = operator.itemgetter(*_PULSE_FIELDS)
+# json.dumps(document, indent=2) + "\n" as two fixed templates: the document
+# around its "pulses" value, and one pulse entry
+_DOCUMENT = ('{\n  "format_version": %d,\n  "N": %%d,\n  "unit_note": %s,\n  "pulses": %%s\n}\n'
+             % (SCHEDULE_FORMAT_VERSION, json.dumps(UNIT_NOTE)))
+_ENTRY = '\n    {\n      "label": %s' + "".join(f',\n      "{k}": %r' for k in _PULSE_FIELDS) + "\n    }"
 
 
-def schedule_to_document(schedule: PulseSchedule) -> dict:
-    return {
-        "format_version": SCHEDULE_FORMAT_VERSION,
-        "N": schedule.params.N,
-        "unit_note": UNIT_NOTE,
-        "pulses": [dict(zip(_ENTRY_KEYS, _pulse_entry(p))) for p in schedule.pulses],
-    }
+def schedule_to_json(schedule: PulseSchedule) -> str:
+    """JSON text of a schedule document; each pulse number is a finite float, so %r writes as json."""
+    entries = ",".join([_ENTRY % (encode_basestring_ascii(p.label), p.T, p.omega_1r, p.phi_1r,
+                                  p.omega_01, p.phi_01, p.delta_01) for p in schedule.pulses])
+    return _DOCUMENT % (schedule.params.N, f"[{entries}\n  ]" if entries else "[]")
 
 
-def schedule_from_document(doc: dict) -> PulseSchedule:
-    """Schedule of a format-v1 document; a value of the wrong JSON type raises ValueError.
+def schedule_from_json(text: str) -> PulseSchedule:
+    """Schedule of a format-v1 document; a wrong JSON type or a missing key raises ValueError.
 
     N and the pulse fields go to ModelParams and PulseParams as read, which
     check them.
     """
+    doc = json.loads(text)
     if type(doc) is not dict:
         raise ValueError("a schedule document must be a JSON object")
     version = doc.get("format_version")
     if version != SCHEDULE_FORMAT_VERSION:
         raise ValueError(f"unsupported schedule format_version {version!r}")
-    params = ModelParams(doc["N"])
-    pulses = doc["pulses"]
+    try:
+        params, pulses = ModelParams(doc["N"]), doc["pulses"]
+    except KeyError as exc:
+        raise ValueError(f"schedule document missing key {exc}") from None
     if type(pulses) is not list:
         raise ValueError("schedule pulses must be a JSON array")
     return PulseSchedule(params, tuple(_pulse_from_entry(p) for p in pulses))
@@ -112,15 +118,10 @@ def _pulse_from_entry(entry: dict) -> PulseParams:
     label = entry.get("label", "")
     if type(label) is not str:
         raise ValueError(f"pulse label must be a JSON string, got {label!r}")
-    return PulseParams(*_pulse_values(entry), label)
-
-
-def schedule_to_json(schedule: PulseSchedule) -> str:
-    return json.dumps(schedule_to_document(schedule), indent=2) + "\n"
-
-
-def schedule_from_json(text: str) -> PulseSchedule:
-    return schedule_from_document(json.loads(text))
+    try:
+        return PulseParams(*_pulse_values(entry), label)
+    except KeyError as exc:
+        raise ValueError(f"pulse entry missing key {exc}") from None
 
 
 def _resolve_output(path: str) -> str:

@@ -162,17 +162,15 @@ def level_ordering(N: int) -> list[DressedIndex]:
 
 
 _PULSE_FIELDS = ("T", "omega_1r", "phi_1r", "omega_01", "phi_01", "delta_01")
-_PULSE_NUMBERS = tuple((name, f"pulse field {name}") for name in _PULSE_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PulseParams:
     """One piecewise-constant control interval.
 
     ``T`` is the duration (units 1/omega_1r); the remaining fields are the
-    amplitudes, phases and detuning of the two lasers during the interval.
-    The six numbers are stored as built-in floats, phases normalized to
-    (-pi, pi].
+    amplitudes, phases and detuning of the two lasers during the interval,
+    all six stored as built-in floats, phases normalized to (-pi, pi].
     """
 
     T: float
@@ -183,19 +181,24 @@ class PulseParams:
     delta_01: float = 0.0
     label: str = ""
 
-    def __post_init__(self) -> None:
-        # written through the instance dict, which costs a fraction of
-        # object.__setattr__ on a path that builds every pulse
-        values = self.__dict__
-        for name, field_name in _PULSE_NUMBERS:
-            values[name] = _number(field_name, values[name])
-        if self.T < 0:
-            raise ValueError(f"pulse duration must be >= 0, got {self.T}")
-        for name in ("omega_1r", "omega_01"):
-            if values[name] < 0:
-                raise ValueError(f"pulse amplitude {name} must be >= 0, got {values[name]}")
-        values["phi_1r"] = wrap_phase(self.phi_1r)
-        values["phi_01"] = wrap_phase(self.phi_01)
+    def __init__(self, T: float, omega_1r: float = 1.0, phi_1r: float = 0.0, omega_01: float = 0.0,
+                 phi_01: float = 0.0, delta_01: float = 0.0, label: str = "") -> None:
+        T = _number("pulse field T", T)
+        omega_1r = _number("pulse field omega_1r", omega_1r)
+        phi_1r = _number("pulse field phi_1r", phi_1r)
+        omega_01 = _number("pulse field omega_01", omega_01)
+        phi_01 = _number("pulse field phi_01", phi_01)
+        delta_01 = _number("pulse field delta_01", delta_01)
+        if T < 0:
+            raise ValueError(f"pulse duration must be >= 0, got {T}")
+        if omega_1r < 0:
+            raise ValueError(f"pulse amplitude omega_1r must be >= 0, got {omega_1r}")
+        if omega_01 < 0:
+            raise ValueError(f"pulse amplitude omega_01 must be >= 0, got {omega_01}")
+        # one store into the instance dict, a fraction of the cost of object.__setattr__
+        v = self.__dict__
+        v["T"], v["omega_1r"], v["phi_1r"], v["omega_01"], v["phi_01"], v["delta_01"], v["label"] = (
+            T, omega_1r, wrap_phase(phi_1r), omega_01, wrap_phase(phi_01), delta_01, label)
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,7 @@ class QuditState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 3 or amp.size % 2 == 0:
             raise ValueError(f"amplitude vector must have odd length 2N+1 >= 3, got shape {amp.shape}")
+        ModelParams(amp.size // 2)      # the atom-count rule
         norm = float(np.linalg.norm(amp))
         if not abs(norm - 1.0) <= 1e-10:     # so that a NaN norm fails too
             raise ContractViolation(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
@@ -423,8 +427,7 @@ def build_total(params: ModelParams, pulse: PulseParams) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _diagonal(N: int, omega_1r: float, phi_1r: float, delta_01: float) -> np.ndarray:
     """build_total's diagonal, which neither omega_01 nor phi_01 enters (read-only)."""
-    d = np.diag(build_total(ModelParams(N), PulseParams(1.0, omega_1r, phi_1r, 0.0, 0.0,
-                                                       delta_01))).copy()
+    d = np.diag(build_total(ModelParams(N), PulseParams(1.0, omega_1r, phi_1r, delta_01=delta_01))).copy()
     d.flags.writeable = False
     return d
 
@@ -456,12 +459,8 @@ def qudit_ordering_permutation(N: int) -> np.ndarray:
     Entry j-1 of the result is the canonical index of |q_j|.
     """
     ModelParams(N)      # the atom-count rule, before anything is sized by N
-    perm = np.empty(2 * N, dtype=int)
-    for j in range(1, N + 1):
-        perm[j - 1] = _position(-1, N + 1 - j) - 1
-    for j in range(N + 1, 2 * N + 1):
-        perm[j - 1] = _position(+1, j - N) - 1
-    return perm
+    return np.array([_position(-1, q) - 1 for q in range(N, 0, -1)]
+                    + [_position(+1, q) - 1 for q in range(1, N + 1)])
 
 
 def hadamard_target(N: int) -> np.ndarray:

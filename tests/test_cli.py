@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rydqudit
 from rydqudit import cli
@@ -20,8 +22,14 @@ from rydqudit.cli import (
     trajectory_to_csv,
     write_atomic,
 )
-from rydqudit.core import DressedIndex, ModelParams, PulseParams, QuditState
-from rydqudit.compiler import CompileOptions, compile_phase_gate
+from rydqudit.core import DressedIndex, ModelParams, PulseParams, QuditState, hadamard_target
+from rydqudit.compiler import (
+    CompileOptions,
+    compile_phase_gate,
+    compile_readout,
+    compile_state_prep,
+    compile_unitary,
+)
 from rydqudit.propagator import PulseSchedule, Trajectory, extract_gate, run_schedule
 
 
@@ -41,6 +49,69 @@ def test_schedule_json_round_trip_exact():
     assert parsed.params.N == schedule.params.N
     assert parsed.pulses == schedule.pulses
     assert schedule_to_json(parsed) == text
+
+
+def reference_json(schedule: PulseSchedule) -> str:
+    """The document as json.dumps writes it, which the template writer must match byte for byte."""
+    document = {
+        "format_version": 1,
+        "N": schedule.params.N,
+        "unit_note": "omega_1r = 1",
+        "pulses": [{"label": p.label, "T": p.T, "omega_1r": p.omega_1r, "phi_1r": p.phi_1r,
+                    "omega_01": p.omega_01, "phi_01": p.phi_01, "delta_01": p.delta_01}
+                   for p in schedule.pulses],
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+def assert_writes_reference_and_round_trips(schedule: PulseSchedule) -> None:
+    text = schedule_to_json(schedule)
+    assert text == reference_json(schedule)
+    back = schedule_from_json(text)
+    assert back == schedule
+    assert schedule_to_json(back) == text
+
+
+def test_template_writer_matches_json_dumps_on_compiled_schedules():
+    opts = CompileOptions(omega_01=1e-2)
+    target = QuditState.uniform(3)
+    schedules = {
+        "empty": PulseSchedule(ModelParams(4), ()),
+        "phase": compile_phase_gate(target, 1.1, opts),
+        "hadamard": compile_unitary(hadamard_target(3), opts),
+        "prep": compile_state_prep(target, opts),
+        "readout": compile_readout(target, opts),
+    }
+    assert schedule_to_json(schedules["empty"]).endswith('"pulses": []\n}\n')
+    for kind, schedule in schedules.items():
+        assert len(schedule) > 0 or kind == "empty"
+        assert_writes_reference_and_round_trips(schedule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.one_of(
+    st.sampled_from(["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", "≈", "😀",
+                     "\ud800"]),
+    st.text(),
+), min_size=1, max_size=4))
+def test_template_writer_quotes_labels_as_json_does(labels):
+    schedule = PulseSchedule(ModelParams(2), tuple(PulseParams(1.0, label=label) for label in labels))
+    assert_writes_reference_and_round_trips(schedule)
+
+
+finite_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e16, 1e300, -1e300, math.pi, -math.pi,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(finite_floats, min_size=6, max_size=6))
+def test_template_writer_writes_floats_as_json_does(values):
+    T, omega_1r, phi_1r, omega_01, phi_01, delta_01 = values
+    pulse = PulseParams(abs(T), abs(omega_1r), phi_1r, abs(omega_01), phi_01, delta_01, "x")
+    assert_writes_reference_and_round_trips(PulseSchedule(ModelParams(1), (pulse,)))
 
 
 def test_schedule_json_structure():
@@ -588,6 +659,7 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
     assert res.stdout.startswith("Usage:")
 
 
+MISSING = object()     # a key that malformed_schedule deletes
 MALFORMED_SCHEDULES = {
     "fractional-N": ({"N": 2.9}, "atom count N must be an integer"),
     "bool-N": ({"N": True}, "atom count N must be an integer"),
@@ -599,13 +671,18 @@ MALFORMED_SCHEDULES = {
     "null-field": ({"pulse": {"phi_01": None}}, "pulse field phi_01 must be a number"),
     "label-not-string": ({"pulse": {"label": 3}}, "pulse label must be a JSON string"),
     "huge-integer-field": ({"pulse": {"T": 10 ** 400}}, "pulse field T must be finite"),
+    "missing-N": ({"N": MISSING}, "schedule document missing key 'N'"),
+    "missing-pulses": ({"pulses": MISSING}, "schedule document missing key 'pulses'"),
+    "missing-field": ({"pulse": {"phi_1r": MISSING}}, "pulse entry missing key 'phi_1r'"),
 }
 
 
 def malformed_schedule(change):
     doc = json.loads(schedule_to_json(sample_schedule()))
-    doc["pulses"][0].update(change.pop("pulse", {}))
-    doc.update(change)
+    for target, update in ((doc["pulses"][0], change.pop("pulse", {})), (doc, change)):
+        target.update(update)
+        for key in [key for key, value in update.items() if value is MISSING]:
+            del target[key]
     return json.dumps(doc)
 
 

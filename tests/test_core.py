@@ -2,7 +2,9 @@
 
 import json
 import math
+import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +118,13 @@ def test_states_apply_the_atom_count_rule_before_sizing_anything(build, N):
     assert_refused_before_sizing(build, N)
 
 
+@pytest.mark.parametrize("N", [ModelParams.N_MAX + 1, 100])
+def test_state_from_a_vector_applies_the_atom_count_rule(N):
+    with pytest.raises(ValueError, match=f"atom count N must be between 1 and 64, got {N}"):
+        QuditState.from_vector(np.ones(2 * N + 1), normalize=True)
+    assert QuditState.from_vector(np.ones(2 * ModelParams.N_MAX + 1), normalize=True).N == 64
+
+
 # level_ordering builds one Python object per level, so its cases stay small
 @pytest.mark.parametrize("N", [0, -3, ModelParams.N_MAX + 1, 10**5])
 def test_level_ordering_applies_the_atom_count_rule(N):
@@ -174,6 +183,26 @@ def test_pulse_rejects_negative_duration():
         PulseParams(-0.1)
     with pytest.raises(ValueError):
         PulseParams(float("nan"))
+
+
+def test_replace_runs_the_pulse_constructor():
+    p = PulseParams(1.0, 1.0, 0.5, 0.1, 0.2, 0.3, "x")
+    with pytest.raises(ValueError, match="pulse duration must be >= 0, got -1.0"):
+        replace(p, T=-1.0)
+    with pytest.raises(ValueError, match="pulse field delta_01 must be a number"):
+        replace(p, delta_01="0")
+    wrapped = replace(p, phi_01=4 * math.pi)
+    assert wrapped.phi_01 == wrap_phase(4 * math.pi) and -math.pi < wrapped.phi_01 <= math.pi
+    assert wrapped == PulseParams(1.0, 1.0, 0.5, 0.1, wrapped.phi_01, 0.3, "x")
+
+
+def test_pulse_survives_a_pickle_round_trip():
+    # scan's process pool ships pulses between processes
+    p = PulseParams(np.float32(2.5), 1, -4.0, 0.25, math.pi, -0.0, "phase:a")
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and hash(back) == hash(p)
+    assert [type(getattr(back, name)) for name in PULSE] == [float] * 6
+    assert repr(back) == repr(p)
 
 
 PULSE = dict(T=1.0, omega_1r=1.0, phi_1r=0.0, omega_01=0.1, phi_01=0.0, delta_01=0.0)
