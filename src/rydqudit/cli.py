@@ -115,11 +115,8 @@ def schedule_from_json(text: str) -> PulseSchedule:
 def _pulse_from_entry(entry: dict) -> PulseParams:
     if type(entry) is not dict:
         raise ValueError(f"a pulse entry must be a JSON object, got {entry!r}")
-    label = entry.get("label", "")
-    if type(label) is not str:
-        raise ValueError(f"pulse label must be a JSON string, got {label!r}")
     try:
-        return PulseParams(*_pulse_values(entry), label)
+        return PulseParams(*_pulse_values(entry), entry.get("label", ""))
     except KeyError as exc:
         raise ValueError(f"pulse entry missing key {exc}") from None
 
@@ -207,7 +204,10 @@ def _load_unitary(path: str) -> np.ndarray:
     """Matrix of a JSON array of rows of [re, im] entries, bare or under "matrix"."""
     with open(path) as fh:
         doc = json.load(fh)
-    rows = doc["matrix"] if isinstance(doc, dict) else doc
+    try:
+        rows = doc["matrix"] if isinstance(doc, dict) else doc
+    except KeyError as exc:
+        raise ValueError(f"unitary document missing key {exc}") from None
     if type(rows) is not list or not all(type(row) is list for row in rows):
         raise ValueError("a unitary must be a JSON array of rows")
 

@@ -58,6 +58,7 @@ from .propagator import (
     PulseSchedule,
     _evolve,
     _gauge,
+    _key_eigensystem,
     _propagate,
 )
 
@@ -203,30 +204,18 @@ def _advance(vecs: np.ndarray, params: ModelParams, pulses: list[tuple[PulsePara
     once per matrix, so every row gets the bits it gets alone.  pair holds
     the (target, other) positions of the emitting rotation, the pair
     _pulse_kind reads from the pulses' labels, or None for bare doublet
-    pulses, whose eigensystem is cached per key.  So each step is bit for bit
-    the evolution under effective_hamiltonian.  Returns the normalized rows.
+    pulses, whose eigensystems the simulator's _key_eigensystem holds.  So
+    each step is bit for bit the evolution under effective_hamiltonian.
+    Returns the normalized rows.
     """
     for step in zip(*pulses):
         if pair is None:
-            w, V = map(np.array, zip(*(_bare_eigensystem(params.N, p.omega_1r, p.phi_1r)
+            w, V = map(np.array, zip(*(_key_eigensystem(params.N, p.omega_1r, p.phi_1r, 0.0, 0.0)
                                        for p in step)))
         else:
             w, V = np.linalg.eigh(np.array([_pair_hamiltonian(params, p, pair) for p in step]))
         vecs = _propagate(w, V, np.array([p.T for p in step]), vecs)
     return vecs / np.array([[np.linalg.norm(vec)] for vec in vecs])
-
-
-@lru_cache(maxsize=256)
-def _bare_eigensystem(N: int, omega_1r: float, phi_1r: float) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of build_total for a bare pulse (read-only).
-
-    Every doublet pulse of a key has the same Hamiltonian, so it shares one
-    eigensystem.
-    """
-    w, V = np.linalg.eigh(build_total(ModelParams(N), PulseParams(1.0, omega_1r, phi_1r)))
-    w.flags.writeable = False
-    V.flags.writeable = False
-    return w, V
 
 
 def replay_effective(initial: QuditState, schedule: PulseSchedule) -> QuditState:
@@ -748,8 +737,8 @@ def measure_projection(state: QuditState, target: QuditState,
     Carries the state through the readout of the target (compile_readout),
     which maps the target onto |-,1>, and reads its |-,1> population.  The
     folds are applied from their records through cached edge products and
-    flat-top eigensystems, the doublet through the bare eigensystems that
-    compile caches, so a warm call builds no fold pulse and diagonalises
+    flat-top eigensystems, the doublet through the simulator's cached key
+    eigensystems, so a warm call builds no fold pulse and diagonalises
     nothing.
     """
     if state.N != target.N:

@@ -8,9 +8,12 @@ agreement is asymptotic in the interaction-to-drive ratio V/omega_1r.
 
 The oracle is dense and real: H0 of the phase gauge is assembled as a real
 3^N x 3^N matrix (344 MB at N=8), and one `validate` diagonalises it
-once.  At the 8-site cap a whole `validate` takes about 40 s
-on 2 BLAS threads and 70 s on 1, with a peak RSS of 1.7 GB, nearly all of
-it the dense eigh of size 6561 (2-vCPU Xeon, one run each).
+once.  Both comparisons read the eigenvectors only through their
+projections onto the 2N+1 real parts of the dressed frame, so the
+eigenvectors are dropped right after the eigh and what stays resident is
+3^N x (2N+1) (0.9 MB at N=8).  At the 8-site cap a whole `validate` takes
+about 40 s on 2 BLAS threads and 70 s on 1, with a peak RSS of 1.7 GB,
+nearly all of it the dense eigh of size 6561 (2-vCPU Xeon, one run each).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .core import (
     build_total,
     level_ordering,
 )
-from .propagator import _evolve, _propagate
+from .propagator import _evolve
 
 FULLSPACE_SITE_CAP = 8  # 3^8 = 6561 dense levels, the largest desk-scale oracle
 _SPAN_RTOL = 1e-9       # relative size below which a direction of the site span is flat
@@ -273,20 +276,65 @@ def _gauge_diagonal(g: Geometry, pulse: PulseParams) -> np.ndarray:
     return np.exp(-1j * (pulse.phi_01 * n_exc + pulse.phi_1r * n_r))
 
 
-# the last (key, (w, V0)) computed by _real_eigensystem, or None
+@lru_cache(maxsize=None)
+def _frame_parts(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real orthonormal parts E of the dressed frame, its real map M0 and anchors.
+
+    E is 3^N x (2N+1): column 0 is |g,0>, and at the canonical positions of
+    |-,q> and |+,q> stand the normalized halves |e,q-1> and |g,q> of
+    embed_dressed.  M0 is block diagonal with |+-,q> = (|e,q-1> +- |g,q>) /
+    sqrt(2), so dressed_frame(N) = E M0 up to rounding.  anchors holds one
+    configuration in the support of each column; n_exc and n_r, and so the
+    gauge diagonal, are constant on a column's support.  Cached per N and
+    read-only.
+    """
+    _check_cap(N)
+    levels = _site_levels(N)
+    n1 = np.count_nonzero(levels == 1, axis=1)
+    nr = np.count_nonzero(levels == 2, axis=1)
+    E = np.zeros((3**N, 2 * N + 1))
+    E[0, 0] = 1.0
+    M0 = np.zeros((2 * N + 1, 2 * N + 1))
+    M0[0, 0] = 1.0
+    half = 1.0 / math.sqrt(2.0)
+    for q in range(1, N + 1):
+        e, g = 2 * q - 1, 2 * q         # the positions of |-,q> and |+,q>
+        E[(n1 == q - 1) & (nr == 1), e] = 1.0 / math.sqrt(N * math.comb(N - 1, q - 1))
+        E[(n1 == q) & (nr == 0), g] = 1.0 / math.sqrt(math.comb(N, q))
+        M0[e, e] = M0[e, g] = M0[g, g] = half
+        M0[g, e] = -half
+    anchors = np.argmax(E != 0.0, axis=0)
+    for arr in (E, M0, anchors):
+        arr.flags.writeable = False
+    return E, M0, anchors
+
+
+def _gauged_frame(g: Geometry, pulse: PulseParams) -> np.ndarray:
+    """M(phi) with d^* B = E M(phi), d the diagonal of _gauge_diagonal and B the dressed frame.
+
+    d is constant on the support of each real part of the frame, so the
+    gauge scales the rows of M0.
+    """
+    _, M0, anchors = _frame_parts(g.N)
+    return _gauge_diagonal(g, pulse)[anchors].conj()[:, None] * M0
+
+
+# the last (key, (w, P)) computed by _real_eigensystem, or None
 _eigensystem: Optional[tuple] = None
 
 
 def _real_eigensystem(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenvalues w and eigenvectors V0 of the real H0 of _gauge_diagonal.
+    """Read-only eigenvalues w of the real H0 of _gauge_diagonal and projections P = V0^T E.
 
-    H0 does not depend on the laser phases, T or the label, so the result is
-    kept for the next call with the same geometry, omega_1r, omega_01 and
-    delta_01: `validate` diagonalises once and its spectrum and evolution
-    comparisons share the result.  Only the last eigensystem is kept, and it
-    stays resident until the next miss (about 4 MB at N=6, 38 MB at N=7 and
-    344 MB at N=8); a miss drops it before building the new one, so the two
-    never coexist.
+    V0 holds H0's eigenvectors and E the real parts of the dressed frame
+    (_frame_parts); both comparisons need V0 only through P, so V0 is
+    dropped as soon as P is formed.  H0 does not depend on the laser phases,
+    T or the label, so the result is kept for the next call with the same
+    geometry, omega_1r, omega_01 and delta_01: `validate` diagonalises once
+    and its spectrum and evolution comparisons share the result.  Only the
+    last eigensystem is kept, and it stays resident until the next miss
+    (3^N x (2N+1) floats: 0.1 MB at N=6 and 0.9 MB at N=8); a miss drops it
+    before building the new one, so the two never coexist.
     """
     global _eigensystem
     key = (g, pulse.omega_1r, pulse.omega_01, pulse.delta_01)
@@ -295,10 +343,12 @@ def _real_eigensystem(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.n
         return slot[1]
     _eigensystem = slot = None      # the last references to the old arrays
     w, V0 = np.linalg.eigh(_assemble(g, replace(pulse, phi_1r=0.0, phi_01=0.0), float))
+    P = V0.T @ _frame_parts(g.N)[0]
+    del V0
     w.flags.writeable = False
-    V0.flags.writeable = False
-    _eigensystem = (key, (w, V0))
-    return w, V0
+    P.flags.writeable = False
+    _eigensystem = (key, (w, P))
+    return w, P
 
 
 def _require_geometry(g: Geometry, omega_1r: float, allow_invalid: bool) -> None:
@@ -319,14 +369,12 @@ def compare_spectrum(g: Geometry, pulse: PulseParams,
     """
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
     params = ModelParams(g.N)
-    B = dressed_frame(g.N)
-    w_full, V0 = _real_eigensystem(g, pulse)
-    d = _gauge_diagonal(g, pulse)
+    w_full, P = _real_eigensystem(g, pulse)
     w_ladder, V_ladder = np.linalg.eigh(build_total(params, pulse))
-    # overlap of every full eigenvector d * V0[:, k] with each embedded ladder
-    # eigenvector, in real products: V0 is never upcast to a complex copy
-    Y = d.conj()[:, None] * (B @ V_ladder)
-    overlaps = (V0.T @ Y.real) ** 2 + (V0.T @ Y.imag) ** 2
+    # the overlap of the full eigenvector d * V0[:, k] with the embedded
+    # ladder eigenvector B v is (V0^T d^* B v)_k = (P M(phi) v)_k
+    Y = _gauged_frame(g, pulse) @ V_ladder
+    overlaps = (P @ Y.real) ** 2 + (P @ Y.imag) ** 2
     matched = w_full[np.argmax(overlaps, axis=0)]
     return float(np.max(np.abs(matched - w_ladder)))
 
@@ -337,19 +385,20 @@ def compare_evolution(g: Geometry, pulse: PulseParams, T: float,
     """Overlap of ladder-picture and microscopic evolution after time T.
 
     Both pictures start from the same embedded dressed level; returns
-    |<full evolution|embedded ladder evolution>|.
+    |<full evolution|embedded ladder evolution>|.  With H = diag(d) H0
+    diag(d)^dag, H0 = V0 diag(w) V0^T and d^* B = E M(phi), the full
+    evolution of B e is diag(d) V0 c with c = exp(-i w T) P M(phi) e, and its
+    overlap with B x is c^dag P M(phi) x, so only P enters.
     """
     if T < 0:
         raise ValueError(f"evolution time must be >= 0, got {T}")
     start = _level_position(initial, g.N)
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
     params = ModelParams(g.N)
-    B = dressed_frame(g.N)
-    psi0_full = B[:, start]
-    w_full, V0 = _real_eigensystem(g, pulse)
-    d = _gauge_diagonal(g, pulse)
-    psi_full = d * _propagate(w_full, V0, T, d.conj() * psi0_full)
+    w_full, P = _real_eigensystem(g, pulse)
+    M = _gauged_frame(g, pulse)
+    c = np.exp(-1j * w_full * T) * (P @ M[:, start])
     e0 = np.zeros(params.dim, dtype=complex)
     e0[start] = 1.0
-    psi_dressed = B @ _evolve(build_total(params, pulse), T, e0)
-    return float(abs(np.vdot(psi_full, psi_dressed)))
+    x = _evolve(build_total(params, pulse), T, e0)
+    return float(abs(np.vdot(c, P @ (M @ x))))

@@ -6,22 +6,32 @@ schedule durations reach ~1e6 time units where steppers would drift.
 
 On the ladder the control phase phi_01 is a gauge: build_control puts
 exp(-i phi_01) on every q+1 <- q element, so H(phi_01) = Z H(0) Z^dag with
-Z = diag(exp(-i phi_01 q)).  A schedule is therefore propagated with one
-eigendecomposition per distinct (omega_1r, phi_1r, omega_01, delta_01),
-all taken in one stacked eigh and kept for that call only (_key_table).
+Z = diag(exp(-i phi_01 q)).  Every pulse of one key (omega_1r, phi_1r,
+omega_01, delta_01) therefore evolves through the eigensystem of that key at
+phi_01 = 0, and _key_eigensystem keeps those eigensystems for the life of
+the process, shared with the compiler.  A pulse's evolution depends on its
+own parameters only: never on which pulse, schedule or call diagonalised its
+key first.  The keys of a compiled schedule depend only on N, the control
+ratio and the fold variant (fold detunings, phase pulses at delta_01 = +-1/2,
+bare doublet pulses), so a new target at the same settings diagonalises
+nothing.  Against one eigh per pulse, of the pulse's own Hamiltonian, the
+gauge from phi_01 = 0 moves compiled operators by up to 1.7e-9 in max |dU|
+(state prep at N = 12, ratio 1e-3, pulses up to 2.3e4 long) and by 1e-10 on
+the N = 9 Hadamard.
 
-run_schedule applies each pulse to the state through the table, so its
-trajectories are the bits of one eigh per key.  schedule_operator forms the
-pulse unitaries Z V exp(-i w T) V^dag Z^dag of _CHUNK pulses at a time in one
-stacked product and multiplies them as a pairwise tree, rather than applying
-each pulse to the operator in turn.  That changes only the rounding: on the
-compiled schedules of tools/compile_digests.py the operator moves by at most
-8e-15 in max |dU| against the pulse-by-pulse product.
+run_schedule applies each pulse to the state through its key's eigensystem.
+schedule_operator forms the pulse unitaries Z V exp(-i w T) V^dag Z^dag of
+_CHUNK pulses at a time in one stacked product and multiplies them as a
+pairwise tree, rather than applying each pulse to the operator in turn.
+That changes only the rounding: on the compiled schedules of
+tools/compile_digests.py the operator moves by at most 8e-15 in max |dU|
+against the pulse-by-pulse product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -108,8 +118,6 @@ def _propagate(w: np.ndarray, V: np.ndarray, T, X: np.ndarray) -> np.ndarray:
     columns of a matrix X.  A 1-D array of n times takes a vector X only:
     its n phase vectors are the columns of one (dim, n) matrix, so every
     sample comes from one matrix product, returned transposed to (n, dim).
-    A real V (the 3^N oracle's) applies to the real and imaginary parts of
-    a complex operand separately, so it is never upcast to a complex copy.
     A stack of k eigensystems, V of shape (k, dim, dim), takes k times and k
     vectors, X of shape (k, dim), one of each per eigensystem, in one stacked
     product per factor; each row gets the bits of its own call.
@@ -121,19 +129,10 @@ def _propagate(w: np.ndarray, V: np.ndarray, T, X: np.ndarray) -> np.ndarray:
     if stacked and (np.ndim(T) != 1 or X.ndim != 1):
         raise ValueError("an array of times must be 1-D and needs a vector operand; "
                          "a matrix operand takes one scalar time")
-    product = _real_product if V.dtype.kind == "f" and X.dtype.kind == "c" else np.matmul
-    coef = product(V.conj().T, X)
+    coef = V.conj().T @ X
     if stacked:
-        return product(V, np.exp(np.multiply.outer(-1j * w, T)) * coef[:, None]).T
-    return product(V, np.exp(-1j * w * T).reshape((-1,) + (1,) * (X.ndim - 1)) * coef)
-
-
-def _real_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ X for a real M and a complex X, as two real products."""
-    out = np.empty(M.shape[:1] + X.shape[1:], dtype=complex)
-    out.real = M @ X.real
-    out.imag = M @ X.imag
-    return out
+        return (V @ (np.exp(np.multiply.outer(-1j * w, T)) * coef[:, None])).T
+    return V @ (np.exp(-1j * w * T).reshape((-1,) + (1,) * (X.ndim - 1)) * coef)
 
 
 def _gauge(N: int, phi_01: float) -> np.ndarray:
@@ -141,31 +140,38 @@ def _gauge(N: int, phi_01: float) -> np.ndarray:
     return np.exp(-1j * phi_01 * _excitations(N))
 
 
-def _key_table(params: ModelParams, pulses: list[PulseParams]
-               ) -> tuple[np.ndarray, np.ndarray, list[int], list[float]]:
-    """Eigensystems of the pulses' distinct keys, from one stacked eigh.
+@lru_cache(maxsize=256)
+def _key_eigensystem(N: int, omega_1r: float, phi_1r: float, omega_01: float,
+                     delta_01: float) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of build_total for one pulse key at phi_01 = 0 (read-only).
 
-    The first pulse of each key (omega_1r, phi_1r, omega_01, delta_01) is
-    diagonalised as it stands.  A stacked eigh gives each matrix the bits of
-    its own call, so that pulse evolves exactly as _evolve would evolve it.
-    Returns (w, V, rows, phases): the keys' eigenvalues and eigenvectors,
-    stacked in order of first appearance, and per pulse the row of its key
-    and its phi_01 minus that of the key's first pulse, the phase of the
-    gauge Z that carries the key's eigensystem to the pulse.  The table
-    lives for one call of its caller.
+    Kept for the life of the process and shared by the simulator and the
+    compiler.  A key field of -0.0 shares the entry of 0.0, whose matrix it
+    builds bit for bit.  One key takes (2N+1)^2 complex eigenvectors and 2N+1
+    eigenvalues: 5.9 kB at N = 9, 10 kB at N = 12 and 267 kB at N = 64, so
+    the 256 keys held at most take 68 MB at the atom-count cap.
     """
-    first: dict[tuple[float, float, float, float], tuple[int, PulseParams]] = {}
-    rows, phases = [], []
-    for p in pulses:
-        row, anchor = first.setdefault((p.omega_1r, p.phi_1r, p.omega_01, p.delta_01),
-                                       (len(first), p))
-        rows.append(row)
-        phases.append(p.phi_01 - anchor.phi_01)
-    H = np.empty((len(first), params.dim, params.dim), dtype=complex)
-    for row, anchor in first.values():
-        H[row] = build_total(params, anchor)
-    w, V = np.linalg.eigh(H)
-    return w, V, rows, phases
+    w, V = np.linalg.eigh(build_total(ModelParams(N),
+                                      PulseParams(1.0, omega_1r, phi_1r, omega_01, 0.0, delta_01)))
+    w.flags.writeable = False
+    V.flags.writeable = False
+    return w, V
+
+
+def _key_table(params: ModelParams, pulses: list[PulseParams]
+               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Eigensystems at phi_01 = 0 of the pulses' distinct keys, stacked.
+
+    Returns (w, V, rows): the eigenvalues and eigenvectors of each distinct
+    (omega_1r, phi_1r, omega_01, delta_01), stacked in order of first
+    appearance, and per pulse the row of its key.  A pulse reaches its row
+    through the gauge Z of its own phi_01.
+    """
+    keys: dict[tuple[float, float, float, float], int] = {}
+    rows = [keys.setdefault((p.omega_1r, p.phi_1r, p.omega_01, p.delta_01), len(keys))
+            for p in pulses]
+    systems = [_key_eigensystem(params.N, *key) for key in keys]
+    return np.array([w for w, _ in systems]), np.array([V for _, V in systems]), rows
 
 
 def run_schedule(initial: QuditState, schedule: PulseSchedule,
@@ -173,7 +179,7 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
     """Piecewise-exact evolution with intra-pulse samples.
 
     Every pulse boundary is a sample point; intermediate samples reuse the
-    pulse's eigendecomposition, which pulses differing only in phi_01 share.
+    eigendecomposition of the pulse's key (_key_eigensystem).
     A pulse's interior samples come from one stacked product; its boundary
     sample, the state carried into the next pulse, is evolved on its own at
     t = T, so boundaries and the final state do not depend on
@@ -185,8 +191,6 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
     if initial.N != schedule.params.N:
         raise ValueError("initial state dimension does not match the schedule")
     params = schedule.params
-    w, V, rows, phases = _key_table(params, [p for p in schedule.pulses if p.T != 0.0])
-    table = zip(rows, phases)
     n = samples_per_pulse
     size = 1 + sum(n if p.T != 0.0 else 1 for p in schedule.pulses)
     times = np.empty(size)
@@ -201,14 +205,15 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
             times[k + 1], states[k + 1] = t0, psi
             boundaries.append(k + 1)
             continue
-        row, phi_01 = next(table)
-        z = _gauge(params.N, phi_01)
+        w, V = _key_eigensystem(params.N, pulse.omega_1r, pulse.phi_1r, pulse.omega_01,
+                                pulse.delta_01)
+        z = _gauge(params.N, pulse.phi_01)
         # linspace stores the endpoint exactly, so rel[-1] == pulse.T
         rel = np.linspace(0.0, pulse.T, n + 1)[1:]
         times[k + 1:k + n + 1] = t0 + rel
         if n > 1:
-            states[k + 1:k + n] = z * _propagate(w[row], V[row], rel[:-1], z.conj() * psi)
-        psi = z * _propagate(w[row], V[row], pulse.T, z.conj() * psi)
+            states[k + 1:k + n] = z * _propagate(w, V, rel[:-1], z.conj() * psi)
+        psi = z * _propagate(w, V, pulse.T, z.conj() * psi)
         states[k + n] = psi
         boundaries.append(k + n)
         t0 += pulse.T
@@ -218,8 +223,8 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
 def schedule_operator(schedule: PulseSchedule) -> np.ndarray:
     """Realized (2N+1)-dimensional evolution operator of a schedule.
 
-    One stacked eigh diagonalises every distinct (omega_1r, phi_1r,
-    omega_01, delta_01) among the schedule's pulses (_key_table); phi_01
+    Every distinct (omega_1r, phi_1r, omega_01, delta_01) among the
+    schedule's pulses is read from _key_eigensystem (_key_table); phi_01
     enters through the gauge Z.  The non-zero pulses are taken _CHUNK at a
     time: the chunk's unitaries Z V exp(-i w T) V^dag Z^dag are formed in one
     stacked product, multiplied together as a pairwise tree, and the result
@@ -229,13 +234,14 @@ def schedule_operator(schedule: PulseSchedule) -> np.ndarray:
     params = schedule.params
     pulses = [p for p in schedule.pulses if p.T != 0.0]
     U = np.eye(params.dim, dtype=complex)
-    w, V, rows, phases = _key_table(params, pulses)
+    w, V, rows = _key_table(params, pulses)
     q = _excitations(params.N)
     T = np.array([p.T for p in pulses])
+    phases = np.array([p.phi_01 for p in pulses])
     for start in range(0, len(pulses), _CHUNK):
         chunk = slice(start, start + _CHUNK)
         row = rows[chunk]
-        ZV = np.exp(np.multiply.outer(-1j * np.array(phases[chunk]), q))[:, :, None] * V[row]
+        ZV = np.exp(np.multiply.outer(-1j * phases[chunk], q))[:, :, None] * V[row]
         steps = (ZV * np.exp(-1j * w[row] * T[chunk, None])[:, None, :]
                  ) @ ZV.conj().transpose(0, 2, 1)
         U = _time_ordered_product(steps) @ U

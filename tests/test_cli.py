@@ -381,8 +381,9 @@ def test_non_finite_ratio_is_a_configuration_error(runner, tmp_path, args):
     ("[[[1, 0], [0, 0]], [[0, 0], [0, Infinity]]]", "entry [1][1]"),
     ("[[[1, 0], [0, 0]], [[0, 0], [1" + "0" * 400 + ", 0]]]", "entry [1][1]"),
     ('[[[1, 0], [0, 0]], [[0, 0], [true, 0]]]', "entry [1][1]"),
+    ('{"rows": [[[1, 0]]]}', "unitary document missing key 'matrix'"),
 ], ids=["bare-numbers", "short-entry", "matrix-not-array", "row-not-array", "nan",
-        "infinity", "huge-integer", "bool"])
+        "infinity", "huge-integer", "bool", "missing-matrix"])
 def test_compile_rejects_malformed_unitary_files(runner, tmp_path, text, message):
     mat_path = tmp_path / "u.json"
     mat_path.write_text(text)
@@ -669,7 +670,7 @@ MALFORMED_SCHEDULES = {
     "string-field": ({"pulse": {"T": "1e3"}}, "pulse field T must be a number"),
     "bool-field": ({"pulse": {"omega_01": True}}, "pulse field omega_01 must be a number"),
     "null-field": ({"pulse": {"phi_01": None}}, "pulse field phi_01 must be a number"),
-    "label-not-string": ({"pulse": {"label": 3}}, "pulse label must be a JSON string"),
+    "label-not-string": ({"pulse": {"label": 3}}, "pulse field label must be a string"),
     "huge-integer-field": ({"pulse": {"T": 10 ** 400}}, "pulse field T must be finite"),
     "missing-N": ({"N": MISSING}, "schedule document missing key 'N'"),
     "missing-pulses": ({"pulses": MISSING}, "schedule document missing key 'pulses'"),

@@ -21,7 +21,6 @@ from rydqudit.core import (
 )
 from rydqudit import compiler
 from rydqudit.compiler import (
-    _bare_eigensystem,
     _emit_pair_rotation,
     _fold_levels,
     _invert_pulse,
@@ -40,7 +39,13 @@ from rydqudit.compiler import (
     unitary_eigensystem,
 )
 from rydqudit.metrics import infidelity
-from rydqudit.propagator import PulseSchedule, _evolve, extract_gate, schedule_operator
+from rydqudit.propagator import (
+    PulseSchedule,
+    _evolve,
+    _key_eigensystem,
+    extract_gate,
+    schedule_operator,
+)
 
 OPTS = CompileOptions(omega_01=1e-3)
 MINUS1 = DressedIndex.branch(-1, 1)
@@ -180,7 +185,7 @@ def test_measure_projection_builds_no_readout_pulses(monkeypatch):
 
 def test_warm_measure_projection_moves_one_state_and_diagonalises_nothing(monkeypatch):
     # the folds act on the state vector and the closing doublet reads the
-    # cached bare eigensystems, so a warm measurement needs no eigh
+    # cached key eigensystems, so a warm measurement needs no eigh
     N = 5
     opts = CompileOptions(omega_01=1e-2)
     target, state = random_qudit_state(N, 7), random_qudit_state(N, 8)
@@ -691,7 +696,7 @@ def test_cached_doublet_eigensystem_matches_fresh_eigh(N, omega_1r):
         for pulse in (PulseParams(2.0 / omega_1r, omega_1r, phi_1r, label=label),
                       PulseParams(0.3, omega_1r, phi_1r + math.pi, label="inv:" + label)):
             w, V = np.linalg.eigh(build_total(params, pulse))
-            cached = _bare_eigensystem(N, pulse.omega_1r, pulse.phi_1r)
+            cached = _key_eigensystem(N, pulse.omega_1r, pulse.phi_1r, 0.0, 0.0)
             assert cached[0].tobytes() == w.tobytes()
             assert cached[1].tobytes() == V.tobytes()
             assert not cached[0].flags.writeable and not cached[1].flags.writeable
@@ -719,7 +724,7 @@ def _compile_cases(N, ratio, variant):
 def test_schedules_equal_the_label_driven_advance(N, ratio, variant, monkeypatch):
     cases = _compile_cases(N, ratio, variant)
     _diagonal.cache_clear()
-    _bare_eigensystem.cache_clear()
+    _key_eigensystem.cache_clear()
     cold = {kind: _fields(make()) for kind, make in cases.items()}
     warm = {kind: _fields(make()) for kind, make in cases.items()}
     monkeypatch.setattr(compiler, "_advance", label_advance)

@@ -185,6 +185,16 @@ def test_pulse_rejects_negative_duration():
         PulseParams(float("nan"))
 
 
+@pytest.mark.parametrize("label", [3, None, b"x", ["x"]], ids=["int", "none", "bytes", "list"])
+def test_pulse_label_must_be_a_string(label):
+    # the one label check: the schedule writer quotes any str and the reader
+    # hands every label to this constructor
+    with pytest.raises(ValueError, match="pulse field label must be a string"):
+        PulseParams(1.0, label=label)
+    with pytest.raises(ValueError, match="pulse field label must be a string"):
+        replace(PulseParams(1.0, label="x"), label=label)
+
+
 def test_replace_runs_the_pulse_constructor():
     p = PulseParams(1.0, 1.0, 0.5, 0.1, 0.2, 0.3, "x")
     with pytest.raises(ValueError, match="pulse duration must be >= 0, got -1.0"):

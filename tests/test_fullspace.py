@@ -520,11 +520,12 @@ def test_geometry_and_hamiltonian_changes_miss(eigh_calls):
 
 
 def test_eigensystem_arrays_are_read_only(eigh_calls):
-    w, V0 = _real_eigensystem(chain(3, 1e4), PulseParams(1.0, 1.0, 0.0, 1e-2))
+    w, P = _real_eigensystem(chain(3, 1e4), PulseParams(1.0, 1.0, 0.0, 1e-2))
+    assert P.shape == (27, 7)       # projections onto the frame, not eigenvectors
     with pytest.raises(ValueError):
         w[0] = 0.0
     with pytest.raises(ValueError):
-        V0[0, 0] = 0.0
+        P[0, 0] = 0.0
 
 
 # --- the declared dimensionality bounds the span of the sites --------------

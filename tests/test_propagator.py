@@ -25,8 +25,9 @@ from rydqudit.propagator import (
     _CHUNK,
     PulseSchedule,
     _evolve,
-    _propagate,
     _gauge,
+    _key_eigensystem,
+    _propagate,
     extract_gate,
     interaction_frame,
     run_schedule,
@@ -242,16 +243,16 @@ def test_interaction_frame_matches_per_sample_reference_bit_for_bit(schedule, sa
 
 
 def reference_evolver(params):
-    # one eigh of its own per distinct key, taken at the key's first pulse;
-    # a later pulse of the key reaches it through the gauge of its phase difference
+    # one eigh of its own per distinct key, taken at phi_01 = 0; every pulse
+    # of the key reaches it through the gauge of its own phi_01
     table = {}
 
     def evolve(pulse, T, X):
         key = (pulse.omega_1r, pulse.phi_1r, pulse.omega_01, pulse.delta_01)
         if key not in table:
-            table[key] = (pulse.phi_01, *np.linalg.eigh(build_total(params, pulse)))
-        phi_01, w, V = table[key]
-        z = _gauge(params.N, pulse.phi_01 - phi_01)
+            table[key] = np.linalg.eigh(build_total(params, replace(pulse, phi_01=0.0)))
+        w, V = table[key]
+        z = _gauge(params.N, pulse.phi_01)
         return z * _propagate(w, V, T, z.conj() * X)
 
     return evolve
@@ -337,19 +338,60 @@ def diagonalised(calls):
     return sum(math.prod(shape[:-2]) for shape in calls)
 
 
+def haar_qudit(seed, N):
+    v = random_state(np.random.default_rng(seed), N).amplitudes.copy()
+    v[0] = 0.0
+    return QuditState.from_vector(v, normalize=True)
+
+
 def test_schedule_operator_makes_one_eigh_per_distinct_key(monkeypatch):
     schedule = hadamard_schedule(3)
     keys = distinct_keys(schedule)
     assert (len(schedule), len(keys)) == (80, 14)
+    preps = {ratio: [compile_state_prep(haar_qudit(seed, 5), CompileOptions(omega_01=ratio))
+                     for seed in (1, 2)] for ratio in (1e-3, 1e-2)}
+    first, second = preps[1e-3]
+    assert distinct_keys(first) == distinct_keys(second)
+    _key_eigensystem.cache_clear()
     calls = count_eigh(monkeypatch)
     schedule_operator(schedule)
     assert diagonalised(calls) == len(keys)
-    # the table lives for one call: a second call diagonalises again
+    # the eigensystems outlive the call: a second call and a trajectory
+    # through the same keys diagonalise nothing
     schedule_operator(schedule)
-    assert diagonalised(calls) == 2 * len(keys)
-    del calls[:]
     run_schedule(QuditState.uniform(3), schedule, samples_per_pulse=2)
     assert diagonalised(calls) == len(keys)
+    # a prep target's keys depend on N and the ratio only, not on the target
+    del calls[:]
+    schedule_operator(first)
+    assert diagonalised(calls) == len(distinct_keys(first))
+    schedule_operator(second)
+    run_schedule(QuditState.uniform(5), second, samples_per_pulse=2)
+    assert diagonalised(calls) == len(distinct_keys(first))
+    # a new ratio moves the fold keys, which are diagonalised again
+    del calls[:]
+    other = preps[1e-2][0]
+    schedule_operator(other)
+    assert diagonalised(calls) == len(distinct_keys(other) - distinct_keys(first)) > 0
+
+
+def test_run_schedule_is_invariant_under_batching():
+    # a pulse evolves through its own key at phi_01 = 0, whatever came before
+    # it, so running a schedule in two parts gives the bits of one run
+    for schedule in (hadamard_schedule(3), PREP_N4, REPEATED_KEYS):
+        psi0 = random_state(np.random.default_rng(3), schedule.params.N)
+        whole = run_schedule(psi0, schedule, samples_per_pulse=3)
+        n = len(schedule.pulses)
+        for cut in sorted({1, 2, n // 3, n // 2, n - 1}):
+            head = PulseSchedule(schedule.params, schedule.pulses[:cut])
+            tail = PulseSchedule(schedule.params, schedule.pulses[cut:])
+            _key_eigensystem.cache_clear()
+            mid = run_schedule(psi0, head, samples_per_pulse=3)
+            end = run_schedule(mid.final_state, tail, samples_per_pulse=3)
+            joined = np.concatenate((mid.states, end.states[1:]))
+            assert joined.tobytes() == whole.states.tobytes()
+            U = schedule_operator(tail) @ schedule_operator(head)
+            assert np.max(np.abs(U - schedule_operator(schedule))) <= 1e-13
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -460,7 +502,7 @@ def test_run_schedule_final_state_matches_schedule_operator(N, seed):
     assert np.max(np.abs(final.amplitudes - expected)) <= 1e-12
 
 
-# --- a real eigenbasis applied in real products -----------------------------
+# --- real and complex eigenbases, one time or stacked times ----------------
 
 
 @pytest.mark.parametrize("T,shape", [(2.5, (9,)), (2.5, (9, 4)),

@@ -23,7 +23,9 @@ float.hex of the 3^N oracle's compare_spectrum and compare_evolution (T =
 10 from |-,1>) for the equilateral triangle at C6 = 1e3, a seeded jittered
 2x2 square at C6 = 1e4 and a seeded jittered 3x2 array at C6 = 1e4 (the
 6-site arrays of the benchmark's oracle_n6), under a pulse with nonzero
-phi_1r, phi_01 and delta_01.  These calls keep one signature across
+phi_1r, phi_01 and delta_01, and the SHA-256 of run_schedule's
+pulse-boundary states for the N = 12 state prep from |g,0> and the N = 3
+Hadamard from a seeded state.  These calls keep one signature across
 checkouts.  One more entry, _schedule_round_trip_failures, counts the
 schedule cases whose JSON document does not come back byte for byte from
 schedule_to_json(schedule_from_json(text)); it reads 0.
@@ -38,10 +40,12 @@ the environment says otherwise:
     cmp parent.json change.json
 
 A change that moves operators by rounding changes their digests.  --dump
-also writes each case's operator and each measure_projection value to an
-.npz file, and --compare reads two such files and prints, as JSON, the
-largest max |dU| over the operators and the largest |dp| over the
-measurements, the case where each occurs, and how many moved at all:
+also writes each case's operator, each measure_projection value, the
+boundary states of each run_schedule case and each oracle value to an .npz
+file, and --compare reads two such files and prints, as JSON, per kind the
+largest move (max |dU| over the operators, |dp| over the measurements,
+max |dpsi| over the boundary states, |dx| over the oracle values), the case
+where it occurs, and how many cases moved at all:
 
     python3 tools/compile_digests.py ../parent --dump parent.npz > parent.json
     python3 tools/compile_digests.py --dump change.npz > change.json
@@ -68,6 +72,18 @@ PHI_1RS = (0.0, math.pi / 2, math.pi, -2.0)
 CONTROLS = {"off": (0.0, 0.0, 0.0), "on": (0.3, 0.7, 0.2)}   # omega_01, phi_01, delta_01
 ORACLE_PULSE = (1.0, 1.0, 0.7, 1e-2, -2.1, 0.2)   # T, omega_1r, phi_1r, omega_01, phi_01, delta_01
 _MEASURE = "measure_projection "   # name prefix of the measurement cases
+_TRAJECTORY = "run_schedule "       # of the boundary-state cases
+_ORACLE = ("compare_spectrum ", "compare_evolution ")
+# kind of case, the label of its largest move and its name prefixes; the
+# empty prefix of the operators matches the names no other kind claims
+_KINDS = (("measurements", "max_abs_dp", (_MEASURE,)),
+          ("trajectories", "max_abs_dpsi", (_TRAJECTORY,)),
+          ("oracle", "max_abs_dx", _ORACLE),
+          ("operators", "max_abs_dU", ("",)))
+
+
+def _kind(name: str) -> str:
+    return next(kind for kind, _, prefixes in _KINDS if name.startswith(prefixes))
 
 
 def _sha256(data: bytes) -> str:
@@ -75,7 +91,7 @@ def _sha256(data: bytes) -> str:
 
 
 def compare(parent_path: str, change_path: str) -> None:
-    """Print the largest operator and measurement moves between two dumps."""
+    """Print the largest move of each kind of case between two dumps."""
     import numpy as np
 
     with np.load(parent_path) as parent, np.load(change_path) as change:
@@ -83,9 +99,10 @@ def compare(parent_path: str, change_path: str) -> None:
         if unmatched:
             sys.exit(f"the dumps hold different cases: {unmatched}")
         report = {}
-        for kind, label, measured in (("operators", "max_abs_dU", False),
-                                      ("measurements", "max_abs_dp", True)):
-            names = sorted(n for n in parent.files if n.startswith(_MEASURE) == measured)
+        for kind, label, _ in _KINDS:
+            names = sorted(n for n in parent.files if _kind(n) == kind)
+            if not names:
+                continue
             moves = {n: float(np.max(np.abs(change[n] - parent[n]))) for n in names}
             worst = max(names, key=moves.__getitem__)
             report[kind] = {"cases": len(names), "moved": sum(m != 0.0 for m in moves.values()),
@@ -137,6 +154,11 @@ def main() -> None:
                                              rq.CompileOptions(omega_01=ratio))
         out[name] = float.hex(values[name])
 
+    def boundaries(name: str, initial: rq.QuditState, schedule: rq.PulseSchedule) -> None:
+        traj = rq.run_schedule(initial, schedule, samples_per_pulse=2)
+        values[name] = traj.states[traj.boundary_indices]
+        out[name] = _sha256(values[name].tobytes())
+
     def digest(name: str, schedule: rq.PulseSchedule) -> None:
         text = schedule_to_json(schedule)
         if schedule_to_json(schedule_from_json(text)) != text:
@@ -159,14 +181,19 @@ def main() -> None:
                 digest(f"readout {case}", rq.compile_readout(haar(N, 3), opts))
             measure(N, ratio)
     opts = rq.CompileOptions(omega_01=1e-3)
-    digest("prep N=12 ratio=0.001 plain", rq.compile_state_prep(haar(12, 1), opts))
+    prep = rq.compile_state_prep(haar(12, 1), opts)
+    digest("prep N=12 ratio=0.001 plain", prep)
+    boundaries(f"{_TRAJECTORY}prep N=12 ratio=0.001 plain",
+               rq.QuditState.basis_state(12, rq.DressedIndex.ground()), prep)
     digest("readout N=12 ratio=0.001 plain", rq.compile_readout(haar(12, 3), opts))
     measure(12, 1e-3)
     for N in (1, 2, 3, 9):
         for skip in (False, True):
             opts = rq.CompileOptions(omega_01=1e-2, skip_zero_phases=skip)
-            digest(f"hadamard N={N} skip_zero_phases={skip}",
-                   rq.compile_unitary(rq.hadamard_target(N), opts))
+            hadamard = rq.compile_unitary(rq.hadamard_target(N), opts)
+            digest(f"hadamard N={N} skip_zero_phases={skip}", hadamard)
+            if N == 3 and not skip:
+                boundaries(f"{_TRAJECTORY}hadamard N=3 ratio=0.01", haar(3, 4), hadamard)
     for N in (3, 5):
         opts = rq.CompileOptions(omega_01=1e-2, fold_variant="tilde")
         digest(f"hadamard N={N} ratio=0.01 tilde", rq.compile_unitary(rq.hadamard_target(N), opts))
@@ -206,9 +233,11 @@ def main() -> None:
     }
     pulse = rq.PulseParams(*ORACLE_PULSE)
     for name, g in geometries.items():
-        out[f"compare_spectrum {name}"] = float.hex(rq.compare_spectrum(g, pulse))
-        out[f"compare_evolution {name}"] = float.hex(
-            rq.compare_evolution(g, pulse, 10.0, rq.DressedIndex.branch(-1, 1)))
+        values[f"compare_spectrum {name}"] = rq.compare_spectrum(g, pulse)
+        values[f"compare_evolution {name}"] = rq.compare_evolution(
+            g, pulse, 10.0, rq.DressedIndex.branch(-1, 1))
+        for prefix in _ORACLE:
+            out[prefix + name] = float.hex(values[prefix + name])
     out["_phase_calibration"] = repr(compiler._phase_calibration())
     out["_doublet_senses"] = repr(compiler._doublet_senses())
     out["_schedule_round_trip_failures"] = len(round_trip_failures)
