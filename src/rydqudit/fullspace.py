@@ -280,29 +280,28 @@ def _gauge_diagonal(g: Geometry, pulse: PulseParams) -> np.ndarray:
 def _frame_parts(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Real orthonormal parts E of the dressed frame, its real map M0 and anchors.
 
-    E is 3^N x (2N+1): column 0 is |g,0>, and at the canonical positions of
-    |-,q> and |+,q> stand the normalized halves |e,q-1> and |g,q> of
-    embed_dressed.  M0 is block diagonal with |+-,q> = (|e,q-1> +- |g,q>) /
-    sqrt(2), so dressed_frame(N) = E M0 up to rounding.  anchors holds one
-    configuration in the support of each column; n_exc and n_r, and so the
-    gauge diagonal, are constant on a column's support.  Cached per N and
-    read-only.
+    dressed_frame(N) = E M0, with M0 block diagonal: |+-,q> = (|e,q-1> +-
+    |g,q>) / sqrt(2).  So column 0 of E is |g,0>, and at the canonical
+    positions of |-,q> and |+,q> stand the normalized halves |e,q-1> and
+    |g,q>.  M0 is orthogonal, and E = B M0^T is taken pair by pair from the
+    frame's real part B: the two columns of a pair are equal on |e,q-1>'s
+    support and opposite on |g,q>'s, so their sum and difference vanish
+    exactly off the support of their half.  anchors holds one configuration
+    in the support of each column; n_exc and n_r, and so the gauge diagonal,
+    are constant on a column's support.  Cached per N and read-only.
     """
-    _check_cap(N)
-    levels = _site_levels(N)
-    n1 = np.count_nonzero(levels == 1, axis=1)
-    nr = np.count_nonzero(levels == 2, axis=1)
-    E = np.zeros((3**N, 2 * N + 1))
-    E[0, 0] = 1.0
+    B = dressed_frame(N).real
+    half = 1.0 / math.sqrt(2.0)
+    minus, plus = B[:, 1::2], B[:, 2::2]        # |-,q> and |+,q>, q = 1..N
+    E = np.empty(B.shape)
+    E[:, 0] = B[:, 0]
+    E[:, 1::2] = half * (minus + plus)
+    E[:, 2::2] = half * (plus - minus)
     M0 = np.zeros((2 * N + 1, 2 * N + 1))
     M0[0, 0] = 1.0
-    half = 1.0 / math.sqrt(2.0)
-    for q in range(1, N + 1):
-        e, g = 2 * q - 1, 2 * q         # the positions of |-,q> and |+,q>
-        E[(n1 == q - 1) & (nr == 1), e] = 1.0 / math.sqrt(N * math.comb(N - 1, q - 1))
-        E[(n1 == q) & (nr == 0), g] = 1.0 / math.sqrt(math.comb(N, q))
-        M0[e, e] = M0[e, g] = M0[g, g] = half
-        M0[g, e] = -half
+    e = np.arange(1, 2 * N, 2)
+    M0[e, e] = M0[e, e + 1] = M0[e + 1, e + 1] = half
+    M0[e + 1, e] = -half
     anchors = np.argmax(E != 0.0, axis=0)
     for arr in (E, M0, anchors):
         arr.flags.writeable = False

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydqudit import compiler, core
+from rydqudit import compiler, core, propagator
 from rydqudit.cli import schedule_from_json, schedule_to_json
 from rydqudit.compiler import (
     CompileOptions,
@@ -510,8 +510,10 @@ def test_templates_cannot_be_poisoned():
             getattr(template, name)[0] = 0
 
 
+# every cache that holds bits built by the builders, so that each pass of
+# _schedules builds its schedules and operators anew
 _COMPILER_CACHES = (compiler._doublet_senses, compiler._phase_calibration,
-                    compiler._shaped_fold)
+                    compiler._shaped_fold, propagator._key_eigensystem)
 
 
 def _schedules():
@@ -534,14 +536,23 @@ def _schedules():
 
 def test_schedules_byte_identical_to_reference_builders(monkeypatch):
     real = _schedules()
+    key_builds = []
+
+    def counted_build_total(*args):
+        key_builds.append(args)
+        return core.build_total(*args)
+
     with monkeypatch.context() as m:
         m.setattr(core, "build_bare", ref_build_bare)
+        m.setattr(propagator, "build_total", counted_build_total)
         m.setattr(core, "build_control", ref_build_control)
         m.setattr(compiler, "build_control", ref_build_control)
         m.setattr(compiler, "control_element", ref_control_element)
         reference = _schedules()
     for cached in _COMPILER_CACHES:
         cached.cache_clear()
+    # the reference pass built the operators' key eigensystems anew
+    assert key_builds
     assert len(real) == len(reference) == 4
     for (text, op), (ref_text, ref_op) in zip(real, reference):
         assert text.encode() == ref_text.encode()
