@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -294,40 +295,9 @@ def jc_energy(q: int, sign: int, omega_1r: float, phi_1r: float) -> float:
     return flip * sign * omega_1r * math.sqrt(q) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class _Template:
-    """Atom-count-dependent index arrays and real coefficients of the builders.
-
-    Indices are flat offsets into a (2N+1) x (2N+1) matrix.  Control pair k
-    puts its coefficient ``coef[k]`` (K_N^q, -Q_N^q or +/-sqrt(N/2)) at
-    (up, down), offset ``pair[k]``, and its conjugate at (down, up), offset
-    ``pair_t[k]``; ``pairs`` maps (up, down) positions back to k.  Doublet
-    q of the bare part has the diagonal offsets ``plus[q-1]`` and
-    ``minus[q-1]``, the coupling offsets ``plus_minus[q-1]`` and
-    ``minus_plus[q-1]`` and the scale ``sqrt_q[q-1]``.
-    All arrays are read-only.
-    """
-
-    pair: np.ndarray
-    pair_t: np.ndarray
-    coef: np.ndarray
-    pairs: dict
-    plus: np.ndarray
-    minus: np.ndarray
-    plus_minus: np.ndarray
-    minus_plus: np.ndarray
-    sqrt_q: np.ndarray
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
 @lru_cache(maxsize=None)
-def _template(N: int) -> _Template:
-    dim = 2 * N + 1
+def _couplings(N: int) -> MappingProxyType:
+    """Coupling K_N^q, -Q_N^q or +/-sqrt(N/2) of each control pair (up, down) (read-only)."""
     pairs: dict[tuple[int, int], float] = {}
     for s in (+1, -1):
         for q in range(1, N):
@@ -335,19 +305,7 @@ def _template(N: int) -> _Template:
             pairs[up, _position(s, q)] = coupling_K(N, q)
             pairs[up, _position(-s, q)] = -coupling_Q(N, q)
         pairs[_position(s, 1), 0] = s * math.sqrt(N / 2.0)
-    plus = [_position(+1, q) for q in range(1, N + 1)]
-    minus = [_position(-1, q) for q in range(1, N + 1)]
-    return _Template(
-        pair=_frozen([u * dim + d for u, d in pairs], int),
-        pair_t=_frozen([d * dim + u for u, d in pairs], int),
-        coef=_frozen(list(pairs.values()), float),
-        pairs={pair: k for k, pair in enumerate(pairs)},
-        plus=_frozen([p * (dim + 1) for p in plus], int),
-        minus=_frozen([m * (dim + 1) for m in minus], int),
-        plus_minus=_frozen([p * dim + m for p, m in zip(plus, minus)], int),
-        minus_plus=_frozen([m * dim + p for p, m in zip(plus, minus)], int),
-        sqrt_q=_frozen(np.sqrt(np.arange(1, N + 1, dtype=float)), float),
-    )
+    return MappingProxyType(pairs)
 
 
 def build_bare(params: ModelParams, omega_1r: float, phi_1r: float) -> np.ndarray:
@@ -355,18 +313,18 @@ def build_bare(params: ModelParams, omega_1r: float, phi_1r: float) -> np.ndarra
 
     Block diagonal: zero on |g,0>, and on each doublet {|+,q>, |-,q>} the
     block (omega_1r sqrt(q)/2) * n . sigma with n = (0, -sin phi, cos phi)
-    and |+,q> as the "up" member.  Assembled in one vectorized step from the
-    cached per-N doublet positions and sqrt(q) scales.
+    and |+,q> as the "up" member.
     """
-    t = _template(params.N)
     H = np.zeros((params.dim, params.dim), dtype=complex)
-    flat = H.reshape(-1)
     nx, ny, nz = 0.0, -math.sin(phi_1r), math.cos(phi_1r)
-    scale = omega_1r * t.sqrt_q / 2.0
-    flat[t.plus] += scale * nz
-    flat[t.minus] -= scale * nz
-    flat[t.plus_minus] += scale * (nx - 1j * ny)
-    flat[t.minus_plus] += scale * (nx + 1j * ny)
+    lower, upper = nx - 1j * ny, nx + 1j * ny     # the axes of (up, down) and (down, up)
+    for q in range(1, params.N + 1):
+        up, down = _position(+1, q), _position(-1, q)
+        scale = omega_1r * math.sqrt(q) / 2.0
+        H[up, up] += scale * nz
+        H[down, down] -= scale * nz
+        H[up, down] += scale * lower
+        H[down, up] += scale * upper
     return H
 
 
@@ -379,22 +337,20 @@ def build_control(params: ModelParams, omega_01: float, phi_01: float,
       +K_N^q   on {|s,q+1>, |s,q>}          (same branch)
       -Q_N^q   on {|s,q+1>, |-s,q>}         (cross branch)
       +/- sqrt(N/2) on {|+/-,1>, |g,0>}     (minus sign on the |-,1> pair)
-    plus the diagonal detuning term -delta_01 * q on every |s,q>.  Assembled
-    in one vectorized step from the cached per-N pair positions, real
-    coefficients and excitation numbers; element (up, down) is
-    (omega_01/2 * coef) * (cos phi_01 - i sin phi_01).
+    plus the diagonal detuning term -delta_01 * q on every |s,q>.  Element
+    (up, down) is (omega_01/2 * coupling) * (cos phi_01 - i sin phi_01).
     """
     if omega_01 < 0:
         raise ValueError(f"omega_01 must be >= 0, got {omega_01}")
-    t = _template(params.N)
     H = np.zeros((params.dim, params.dim), dtype=complex)
-    flat = H.reshape(-1)
     nx, ny = math.cos(phi_01), math.sin(phi_01)
-    scale = omega_01 / 2.0 * t.coef
-    flat[t.pair] += scale * (nx - 1j * ny)
-    flat[t.pair_t] += scale * (nx + 1j * ny)
+    lower, upper = nx - 1j * ny, nx + 1j * ny     # the axes of (up, down) and (down, up)
+    half = omega_01 / 2.0
+    for (up, down), coupling in _couplings(params.N).items():
+        H[up, down] += half * coupling * lower
+        H[down, up] += half * coupling * upper
     # the diagonal of the |s,q> levels: every (dim + 1)-th element after |g,0>
-    flat[params.dim + 1::params.dim + 1] -= delta_01 * _excitations(params.N)[1:]
+    H.reshape(-1)[params.dim + 1::params.dim + 1] -= delta_01 * _excitations(params.N)[1:]
     return H
 
 
@@ -409,17 +365,18 @@ def control_element(params: ModelParams, omega_01: float, phi_01: float,
         raise ValueError(f"omega_01 must be >= 0, got {omega_01}")
     if row == col:
         raise ValueError("control_element reads off-diagonal elements only")
-    t = _template(params.N)
+    couplings = _couplings(params.N)
     nx, ny = math.cos(phi_01), math.sin(phi_01)
-    k = t.pairs.get((row, col))
-    if k is not None:
+    coupling = couplings.get((row, col))
+    if coupling is not None:
         axis = nx - 1j * ny
     else:
-        k = t.pairs.get((col, row))
-        if k is None:
+        coupling = couplings.get((col, row))
+        if coupling is None:
             return np.complex128(0.0)
         axis = nx + 1j * ny
-    return np.complex128(0j + omega_01 / 2.0 * float(t.coef[k]) * axis)
+    # the zero that build_control accumulates into
+    return np.complex128(0j + omega_01 / 2.0 * coupling * axis)
 
 
 def build_total(params: ModelParams, pulse: PulseParams) -> np.ndarray:

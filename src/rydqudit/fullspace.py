@@ -19,7 +19,7 @@ nearly all of it the dense eigh of size 6561 (2-vCPU Xeon, one run each).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -46,6 +46,18 @@ def blockade_radius(C6: float, omega_1r: float) -> float:
     if not omega_1r > 0:
         raise ValueError(f"omega_1r must be positive, got {omega_1r}")
     return (abs(C6) / omega_1r) ** (1.0 / 6.0)
+
+
+def _pair_energy(C6: float, sites: np.ndarray, i: int, j: int) -> float:
+    """C6/r^6 of the sites in rows i and j; ValueError if r^6 overflows or C6/r^6 is not finite."""
+    try:
+        r6 = float(np.sum((sites[i] - sites[j]) ** 2)) ** 3
+    except OverflowError:
+        raise ValueError(f"sites {i} and {j} are too far apart: r^6 overflows") from None
+    energy = C6 / r6 if r6 != 0.0 else math.inf
+    if not math.isfinite(energy):
+        raise ValueError(f"sites {i} and {j} are too close: C6/r^6 is not finite")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -75,13 +87,7 @@ class Geometry:
         sites = np.array(pos)
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
-                # r^6 and C6/r^6 with the arithmetic of build_full_hamiltonian
-                try:
-                    r6 = float(np.sum((sites[i] - sites[j]) ** 2)) ** 3
-                except OverflowError:
-                    raise ValueError(f"sites {i} and {j} are too far apart: r^6 overflows") from None
-                if r6 == 0.0 or not math.isfinite(self.C6 / r6):
-                    raise ValueError(f"sites {i} and {j} are too close: C6/r^6 is not finite")
+                _pair_energy(self.C6, sites, i, j)
         if not self.a > 0 or not self.wavelength > 0:
             raise ValueError("spacing and wavelength must be positive")
         d = _number("geometry field d", self.d)
@@ -198,7 +204,7 @@ def _assemble(g: Geometry, pulse: PulseParams, dtype: type) -> np.ndarray:
     vjk = np.zeros((N, N))
     for j in range(N):
         for k in range(j + 1, N):
-            vjk[j, k] = g.C6 / float(np.sum((pos[j] - pos[k]) ** 2)) ** 3
+            vjk[j, k] = _pair_energy(g.C6, pos, j, k)
     c1r = 0.5 * pulse.omega_1r * np.exp(-1j * pulse.phi_1r)
     c01 = 0.5 * pulse.omega_01 * np.exp(-1j * pulse.phi_01)
     if dtype is float:
@@ -318,35 +324,24 @@ def _gauged_frame(g: Geometry, pulse: PulseParams) -> np.ndarray:
     return _gauge_diagonal(g, pulse)[anchors].conj()[:, None] * M0
 
 
-# the last (key, (w, P)) computed by _real_eigensystem, or None
-_eigensystem: Optional[tuple] = None
-
-
-def _real_eigensystem(g: Geometry, pulse: PulseParams) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _real_eigensystem(g: Geometry, omega_1r: float, omega_01: float,
+                      delta_01: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenvalues w of the real H0 of _gauge_diagonal and projections P = V0^T E.
 
     V0 holds H0's eigenvectors and E the real parts of the dressed frame
     (_frame_parts); both comparisons need V0 only through P, so V0 is
     dropped as soon as P is formed.  H0 does not depend on the laser phases,
-    T or the label, so the result is kept for the next call with the same
-    geometry, omega_1r, omega_01 and delta_01: `validate` diagonalises once
-    and its spectrum and evolution comparisons share the result.  Only the
-    last eigensystem is kept, and it stays resident until the next miss
-    (3^N x (2N+1) floats: 0.1 MB at N=6 and 0.9 MB at N=8); a miss drops it
-    before building the new one, so the two never coexist.
+    T or the label, so `validate` diagonalises once and its spectrum and
+    evolution comparisons share the result.  Only the last result is kept
+    (3^N x (2N+1) floats: 0.1 MB at N=6 and 0.9 MB at N=8), beside the next
+    miss's eigh.
     """
-    global _eigensystem
-    key = (g, pulse.omega_1r, pulse.omega_01, pulse.delta_01)
-    slot = _eigensystem
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    _eigensystem = slot = None      # the last references to the old arrays
-    w, V0 = np.linalg.eigh(_assemble(g, replace(pulse, phi_1r=0.0, phi_01=0.0), float))
+    w, V0 = np.linalg.eigh(_assemble(g, PulseParams(1.0, omega_1r, 0.0, omega_01, 0.0, delta_01),
+                                     float))
     P = V0.T @ _frame_parts(g.N)[0]
-    del V0
     w.flags.writeable = False
     P.flags.writeable = False
-    _eigensystem = (key, (w, P))
     return w, P
 
 
@@ -368,7 +363,7 @@ def compare_spectrum(g: Geometry, pulse: PulseParams,
     """
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
     params = ModelParams(g.N)
-    w_full, P = _real_eigensystem(g, pulse)
+    w_full, P = _real_eigensystem(g, pulse.omega_1r, pulse.omega_01, pulse.delta_01)
     w_ladder, V_ladder = np.linalg.eigh(build_total(params, pulse))
     # the overlap of the full eigenvector d * V0[:, k] with the embedded
     # ladder eigenvector B v is (V0^T d^* B v)_k = (P M(phi) v)_k
@@ -394,7 +389,7 @@ def compare_evolution(g: Geometry, pulse: PulseParams, T: float,
     start = _level_position(initial, g.N)
     _require_geometry(g, pulse.omega_1r, allow_invalid_geometry)
     params = ModelParams(g.N)
-    w_full, P = _real_eigensystem(g, pulse)
+    w_full, P = _real_eigensystem(g, pulse.omega_1r, pulse.omega_01, pulse.delta_01)
     M = _gauged_frame(g, pulse)
     c = np.exp(-1j * w_full * T) * (P @ M[:, start])
     e0 = np.zeros(params.dim, dtype=complex)

@@ -140,16 +140,19 @@ def _gauge(N: int, phi_01: float) -> np.ndarray:
     return np.exp(-1j * phi_01 * _excitations(N))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4 * ModelParams.N_MAX + 2)
 def _key_eigensystem(N: int, omega_1r: float, phi_1r: float, omega_01: float,
                      delta_01: float) -> tuple[np.ndarray, np.ndarray]:
     """eigh of build_total for one pulse key at phi_01 = 0 (read-only).
 
     Kept for the life of the process and shared by the simulator and the
     compiler.  A key field of -0.0 shares the entry of 0.0, whose matrix it
-    builds bit for bit.  One key takes (2N+1)^2 complex eigenvectors and 2N+1
-    eigenvalues: 5.9 kB at N = 9, 10 kB at N = 12 and 267 kB at N = 64, so
-    the 256 keys held at most take 68 MB at the atom-count cap.
+    builds bit for bit.  The cache holds the 4N + 2 keys of a gate compiled
+    at the atom-count cap (4N - 4 fold keys, 2 phase keys, 4 doublet keys),
+    so a schedule that repeats them in order, as a unitary's 2N phase gates
+    do, misses only on its first pass.  One key takes (2N+1)^2 complex
+    eigenvectors and 2N+1 eigenvalues: 5.9 kB at N = 9, 10 kB at N = 12 and
+    267 kB at N = 64, so the 258 keys held at most take 69 MB at the cap.
     """
     w, V = np.linalg.eigh(build_total(ModelParams(N),
                                       PulseParams(1.0, omega_1r, phi_1r, omega_01, 0.0, delta_01)))

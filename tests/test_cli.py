@@ -590,7 +590,7 @@ def test_validate_rejects_unrepresentable_site_distances(runner, tmp_path, separ
 
 def test_validate_reuses_the_oracle_eigensystem(runner, tmp_path, monkeypatch):
     from rydqudit import fullspace
-    monkeypatch.setattr(fullspace, "_eigensystem", None)
+    fullspace._real_eigensystem.cache_clear()
     full_eighs = []
     eigh = np.linalg.eigh
 
@@ -612,10 +612,10 @@ def test_validate_reuses_the_oracle_eigensystem(runner, tmp_path, monkeypatch):
     first = validate("first.json")
     assert len(full_eighs) == 1
     assert validate("second.json") == first
-    assert len(full_eighs) == 1             # served from the slot
+    assert len(full_eighs) == 1             # served from the cache
     other = validate("other.json", "--ratio", "3e-2")
     assert len(full_eighs) == 2
-    fullspace._eigensystem = None
+    fullspace._real_eigensystem.cache_clear()
     assert validate("cleared.json", "--ratio", "3e-2") == other
     assert len(full_eighs) == 3
 

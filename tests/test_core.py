@@ -411,9 +411,9 @@ def test_build_total_is_sum_of_parts(N, phi1, phi2, delta):
 
 # --- reference builders: the straightforward per-pair loops ----------------
 #
-# The library assembles both Hamiltonians from cached per-N templates; these
-# loops over DressedIndex pairs are the definition they must reproduce bit
-# for bit.
+# The library loops over canonical positions and a cached per-N table of
+# control couplings; these loops over DressedIndex pairs, which compute every
+# coupling anew, are the definition it must reproduce bit for bit.
 
 def _ref_pair_block(H, up, down, nx, ny, nz, scale):
     H[up, up] += scale * nz
@@ -503,17 +503,18 @@ def test_templates_cannot_be_poisoned():
     assert build_bare(params, 1.0, 0.3).tobytes() == ref_build_bare(params, 1.0, 0.3).tobytes()
     assert (build_control(params, 0.2, 0.4, 0.1).tobytes()
             == ref_build_control(params, 0.2, 0.4, 0.1).tobytes())
-    template = core._template(params.N)
-    for name in ("pair", "pair_t", "coef", "plus", "minus", "plus_minus", "minus_plus",
-                 "sqrt_q"):
-        with pytest.raises(ValueError):
-            getattr(template, name)[0] = 0
+    couplings = core._couplings(params.N)
+    with pytest.raises(TypeError):
+        couplings[2, 0] = 0.0
+    with pytest.raises(TypeError):
+        couplings[9, 9] = 1.0
 
 
 # every cache that holds bits built by the builders, so that each pass of
 # _schedules builds its schedules and operators anew
-_COMPILER_CACHES = (compiler._doublet_senses, compiler._phase_calibration,
-                    compiler._shaped_fold, propagator._key_eigensystem)
+_COMPILER_CACHES = (core._diagonal, compiler._doublet_senses, compiler._pair_coupling,
+                    compiler._phase_calibration, compiler._shaped_fold,
+                    propagator._key_eigensystem)
 
 
 def _schedules():
@@ -536,23 +537,18 @@ def _schedules():
 
 def test_schedules_byte_identical_to_reference_builders(monkeypatch):
     real = _schedules()
-    key_builds = []
-
-    def counted_build_total(*args):
-        key_builds.append(args)
-        return core.build_total(*args)
-
     with monkeypatch.context() as m:
         m.setattr(core, "build_bare", ref_build_bare)
-        m.setattr(propagator, "build_total", counted_build_total)
         m.setattr(core, "build_control", ref_build_control)
         m.setattr(compiler, "build_control", ref_build_control)
         m.setattr(compiler, "control_element", ref_control_element)
         reference = _schedules()
+    # the reference pass filled every cache anew, so no bits of the first
+    # pass reached its schedules or operators
+    misses = {cached.__name__: cached.cache_info().misses for cached in _COMPILER_CACHES}
     for cached in _COMPILER_CACHES:
         cached.cache_clear()
-    # the reference pass built the operators' key eigensystems anew
-    assert key_builds
+    assert all(misses.values()), misses
     assert len(real) == len(reference) == 4
     for (text, op), (ref_text, ref_op) in zip(real, reference):
         assert text.encode() == ref_text.encode()

@@ -18,12 +18,12 @@ from rydqudit.core import (
     build_total,
     level_ordering,
 )
-from rydqudit import fullspace
 from rydqudit.fullspace import (
     FULLSPACE_SITE_CAP,
     Geometry,
     _assemble,
     _gauge_diagonal,
+    _pair_energy,
     _real_eigensystem,
     _site_levels,
     blockade_radius,
@@ -440,6 +440,16 @@ def test_geometry_accepts_close_sites_with_a_finite_interaction():
     assert np.all(np.isfinite(build_full_hamiltonian(g, PulseParams(1.0))))
 
 
+def test_pair_energy_is_the_full_hamiltonians_pair_shift():
+    # the geometry check and the full Hamiltonian read one C6/r^6 per pair
+    g = random_geometry(4, 3, 1e4)
+    H = build_full_hamiltonian(g, PulseParams(1.0))
+    sites = np.array(g.positions)
+    for j, k in itertools.combinations(range(g.N), 2):
+        both = 2 * 3**j + 2 * 3**k       # sites j and k in |r>, the rest in |0>
+        assert H[both, both] == _pair_energy(g.C6, sites, j, k)
+
+
 def test_geometry_dict_dimension_and_malformed_values():
     doc = {**Geometry(**GEOMETRY_FIELDS).to_dict(), "d": 1.0}
     g = Geometry.from_dict(doc)
@@ -448,17 +458,17 @@ def test_geometry_dict_dimension_and_malformed_values():
         Geometry.from_dict({**doc, "a": [1.0]})
 
 
-# --- the one-slot eigensystem shared by compare_spectrum and compare_evolution
+# --- the one-entry eigensystem cache shared by compare_spectrum and compare_evolution
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Empties the slot, then records (dimension, slot empty) for every eigh."""
-    monkeypatch.setattr(fullspace, "_eigensystem", None)
+    """Empties the cache, then records the dimension of every eigh."""
+    _real_eigensystem.cache_clear()
     calls = []
     eigh = np.linalg.eigh
 
     def recording_eigh(a, *args, **kwargs):
-        calls.append((a.shape[0], fullspace._eigensystem is None))
+        calls.append(a.shape[0])
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
@@ -466,8 +476,8 @@ def eigh_calls(monkeypatch):
 
 
 def full_eighs(calls, N):
-    """Slot-empty flags of the recorded eigh calls on a 3^N matrix."""
-    return [empty for dim, empty in calls if dim == 3**N]
+    """Number of the recorded eigh calls on a 3^N matrix."""
+    return calls.count(3**N)
 
 
 def oracle_pair(g, pulse, T=10.0, initial=DressedIndex.branch(-1, 1)):
@@ -476,16 +486,16 @@ def oracle_pair(g, pulse, T=10.0, initial=DressedIndex.branch(-1, 1)):
 
 def test_spectrum_and_evolution_share_one_diagonalization(eigh_calls):
     oracle_pair(chain(4, 1e4), PulseParams(1.0, 1.0, 0.7, 1e-2, -1.1, 0.02))
-    assert full_eighs(eigh_calls, 4) == [True]
+    assert full_eighs(eigh_calls, 4) == 1
 
 
 def test_recomputed_eigensystem_gives_the_same_bits(eigh_calls):
     g, pulse = chain(4, 1e4), PulseParams(1.0, 1.0, 0.7, 1e-2, -1.1, 0.02)
     first = oracle_pair(g, pulse)
     hit = oracle_pair(g, pulse)
-    fullspace._eigensystem = None
+    _real_eigensystem.cache_clear()
     again = oracle_pair(g, pulse)
-    assert full_eighs(eigh_calls, 4) == [True, True]
+    assert full_eighs(eigh_calls, 4) == 2
     assert [x.hex() for x in first] == [x.hex() for x in hit] == [x.hex() for x in again]
 
 
@@ -503,7 +513,7 @@ def test_phase_and_time_changes_reuse_the_eigensystem(eigh_calls):
         assert abs(compare_spectrum(g, pulse) - spectrum) <= 1e-10
         for initial, overlap in zip(initials, overlaps):
             assert abs(compare_evolution(g, pulse, T, initial) - overlap) <= 1e-12
-    assert full_eighs(eigh_calls, g.N) == [True]
+    assert full_eighs(eigh_calls, g.N) == 1
 
 
 def test_geometry_and_hamiltonian_changes_miss(eigh_calls):
@@ -516,11 +526,11 @@ def test_geometry_and_hamiltonian_changes_miss(eigh_calls):
     cases.append((triangle(1e3), pulse))
     for g, pulse in cases:
         oracle_pair(g, pulse)
-    assert full_eighs(eigh_calls, 3) == [True] * len(cases)
+    assert full_eighs(eigh_calls, 3) == len(cases)
 
 
 def test_eigensystem_arrays_are_read_only(eigh_calls):
-    w, P = _real_eigensystem(chain(3, 1e4), PulseParams(1.0, 1.0, 0.0, 1e-2))
+    w, P = _real_eigensystem(chain(3, 1e4), 1.0, 1e-2, 0.0)
     assert P.shape == (27, 7)       # projections onto the frame, not eigenvectors
     with pytest.raises(ValueError):
         w[0] = 0.0

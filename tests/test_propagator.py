@@ -375,6 +375,19 @@ def test_schedule_operator_makes_one_eigh_per_distinct_key(monkeypatch):
     assert diagonalised(calls) == len(distinct_keys(other) - distinct_keys(first)) > 0
 
 
+def test_key_cache_holds_the_keys_of_a_gate_at_the_atom_count_cap(monkeypatch):
+    # a phase gate at N = N_MAX has 4N + 2 distinct keys, and a unitary
+    # repeats them in order once per phase gate: a trajectory through them
+    # twice diagonalises each key once
+    n_keys = 4 * ModelParams.N_MAX + 2
+    keys = [PulseParams(0.5, 1.0, 0.0, 0.1, 0.3, 0.01 * k) for k in range(n_keys)]
+    schedule = PulseSchedule(ModelParams(2), tuple(keys + keys))
+    _key_eigensystem.cache_clear()
+    calls = count_eigh(monkeypatch)
+    run_schedule(QuditState.uniform(2), schedule, samples_per_pulse=1)
+    assert diagonalised(calls) == n_keys == 258
+
+
 def test_run_schedule_is_invariant_under_batching():
     # a pulse evolves through its own key at phi_01 = 0, whatever came before
     # it, so running a schedule in two parts gives the bits of one run
@@ -502,25 +515,17 @@ def test_run_schedule_final_state_matches_schedule_operator(N, seed):
     assert np.max(np.abs(final.amplitudes - expected)) <= 1e-12
 
 
-# --- real and complex eigenbases, one time or stacked times ----------------
+# --- stacked times ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("T,shape", [(2.5, (9,)), (2.5, (9, 4)),
-                                     (np.array([0.0, 0.3, 7.0]), (9,))],
-                         ids=["vector", "matrix", "stacked-times"])
-def test_real_eigenbasis_matches_its_complex_copy(T, shape):
+def test_stacked_times_match_one_call_per_time():
     rng = np.random.default_rng(5)
-    A = rng.normal(size=(9, 9))
-    w, V = np.linalg.eigh(A + A.T)
-    X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = _propagate(w, V, T, X)
-    want = _propagate(w, V.astype(complex), T, X)
-    assert got.dtype == want.dtype == complex and got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-14
-    if np.ndim(T) == 1:
-        for basis in (V, V.astype(complex)):
-            per_time = np.array([_propagate(w, basis, t, X) for t in T])
-            assert np.max(np.abs(_propagate(w, basis, T, X) - per_time)) <= 1e-14
+    A = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    w, V = np.linalg.eigh(A + A.conj().T)
+    X = rng.normal(size=9) + 1j * rng.normal(size=9)
+    T = np.array([0.0, 0.3, 7.0])
+    per_time = np.array([_propagate(w, V, t, X) for t in T])
+    assert np.max(np.abs(_propagate(w, V, T, X) - per_time)) <= 1e-14
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (5, 3)], ids=["square", "non-square"])

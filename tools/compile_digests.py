@@ -16,11 +16,13 @@ folds; the identity with skip_zero_phases, which compiles no phase gate;
 measure_projection with plain folds; state prep, readout and
 measure_projection at N = 12, ratio 1e-3, plain folds, the size the
 benchmark's prep_trajectory runs; and one inverted full-control schedule.
-It also prints the SHA-256 of build_total's bytes at N in {1, 2, 3, 9},
-omega_1r in {0, 0.7, 1, 2.5} and phi_1r in {0, pi/2, pi, -2}, without and
-with a control term (omega_01 = 0.3, phi_01 = 0.7, delta_01 = 0.2), and
-float.hex of the 3^N oracle's compare_spectrum and compare_evolution (T =
-10 from |-,1>) for the equilateral triangle at C6 = 1e3, a seeded jittered
+It also prints the SHA-256 of build_total's bytes at N in {1, 2, 3, 9, 12,
+64}, omega_1r in {0, 0.7, 1, 2.5} and phi_1r in {0, pi/2, pi, -2}, without
+and with a control term (omega_01 = 0.3, phi_01 = 0.7, delta_01 = 0.2), one
+SHA-256 per such N of control_element over every off-diagonal pair at
+omega_01 = 0.3 and phi_01 in {0, 0.5, -1.3}, and float.hex of the 3^N
+oracle's compare_spectrum and compare_evolution (T = 10 from |-,1>) for the
+equilateral triangle at C6 = 1e3, a seeded jittered
 2x2 square at C6 = 1e4 and a seeded jittered 3x2 array at C6 = 1e4 (the
 6-site arrays of the benchmark's oracle_n6), under a pulse with nonzero
 phi_1r, phi_01 and delta_01, and the SHA-256 of run_schedule's
@@ -66,10 +68,11 @@ import sys
 NS = (1, 2, 3, 5, 9)
 RATIOS = (1e-3, 1e-2)
 VARIANTS = ("plain", "tilde")
-HAMILTONIAN_NS = (1, 2, 3, 9)
+HAMILTONIAN_NS = (1, 2, 3, 9, 12, 64)
 OMEGA_1RS = (0.0, 0.7, 1.0, 2.5)
 PHI_1RS = (0.0, math.pi / 2, math.pi, -2.0)
 CONTROLS = {"off": (0.0, 0.0, 0.0), "on": (0.3, 0.7, 0.2)}   # omega_01, phi_01, delta_01
+ELEMENT_PHASES = (0.0, 0.5, -1.3)   # phi_01 of the control_element digests
 ORACLE_PULSE = (1.0, 1.0, 0.7, 1e-2, -2.1, 0.2)   # T, omega_1r, phi_1r, omega_01, phi_01, delta_01
 _MEASURE = "measure_projection "   # name prefix of the measurement cases
 _TRAJECTORY = "run_schedule "       # of the boundary-state cases
@@ -126,7 +129,7 @@ def main() -> None:
     sys.path.insert(0, src)
     import numpy as np
     import rydqudit as rq
-    from rydqudit import compiler
+    from rydqudit import compiler, core
     from rydqudit.cli import schedule_from_json, schedule_to_json
 
     if not os.path.abspath(rq.__file__).startswith(src + os.sep):
@@ -215,6 +218,12 @@ def main() -> None:
                     H = rq.build_total(rq.ModelParams(N), pulse)
                     out[f"build_total N={N} omega_1r={omega_1r!r} phi_1r={phi_1r!r} "
                         f"control={control}"] = _sha256(H.tobytes())
+        params = rq.ModelParams(N)
+        pairs = [(row, col) for row in range(params.dim) for col in range(params.dim) if row != col]
+        omega_01 = CONTROLS["on"][0]
+        elements = b"".join(core.control_element(params, omega_01, phi_01, *pair).tobytes()
+                            for phi_01 in ELEMENT_PHASES for pair in pairs)
+        out[f"control_element N={N}"] = _sha256(elements)
     h = math.sqrt(3) / 2
     jitter = np.random.default_rng(7).uniform(-0.1, 0.1, size=(4, 2))
     jitter_3x2 = np.random.default_rng(8).uniform(-0.1, 0.1, size=(6, 2))
