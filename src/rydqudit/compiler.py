@@ -198,24 +198,55 @@ def _advance(vecs: np.ndarray, params: ModelParams, pulses: list[tuple[PulsePara
              pair: Optional[tuple[int, int]]) -> np.ndarray:
     """Carry a stack of effective states, row k through pulses[k], all resonant on pair.
 
-    Every row has as many pulses, and the rows advance in lockstep: each step
-    diagonalises the rows' effective Hamiltonians in one stacked eigh and
-    propagates the rows in one stacked product.  A stacked eigh calls LAPACK
-    once per matrix, so every row gets the bits it gets alone.  pair holds
-    the (target, other) positions of the emitting rotation, the pair
-    _pulse_kind reads from the pulses' labels, or None for bare doublet
-    pulses, whose eigensystems the simulator's _key_eigensystem holds.  So
-    each step is bit for bit the evolution under effective_hamiltonian.
-    Returns the normalized rows.
+    Every row has as many pulses, and the rows advance in lockstep, one step
+    at a time.  pair holds the (target, other) positions of the emitting
+    rotation, the pair _pulse_kind reads from the pulses' labels: each step
+    is then the closed-form evolution under effective_hamiltonian
+    (_pair_step), with no eigh.  pair is None for bare doublet pulses, whose
+    eigensystems the simulator's _key_eigensystem holds.  Every operation
+    acts on each row alone, so a row gets the bits it gets in a batch of
+    one.  Returns the normalized rows.
     """
     for step in zip(*pulses):
         if pair is None:
             w, V = map(np.array, zip(*(_key_eigensystem(params.N, p.omega_1r, p.phi_1r, 0.0, 0.0)
                                        for p in step)))
+            vecs = _propagate(w, V, np.array([p.T for p in step]), vecs)
         else:
-            w, V = np.linalg.eigh(np.array([_pair_hamiltonian(params, p, pair) for p in step]))
-        vecs = _propagate(w, V, np.array([p.T for p in step]), vecs)
+            vecs = _pair_step(vecs, params, step, pair)
     return vecs / np.array([[np.linalg.norm(vec)] for vec in vecs])
+
+
+def _pair_step(vecs: np.ndarray, params: ModelParams, step: tuple[PulseParams, ...],
+               pair: tuple[int, int]) -> np.ndarray:
+    """Row k of vecs evolved through step[k] under diag(d) + h|i><j| + h*|j><i|.
+
+    The pulses of one step share their key (omega_1r, phi_1r, omega_01,
+    delta_01), so d is the key's cached diagonal and |h| its pair's coupling;
+    a pulse's phi_01 enters through the gauge, h = h0 exp(-i phi_01 (q_i - q_j))
+    with h0 the element at phi_01 = 0.  Every level but the pair picks up
+    exp(-i d_k T).  The pair (i, j) evolves under m + D sigma_z
+    + Re h sigma_x - Im h sigma_y, with m and D the mean and half difference
+    of d_i and d_j, as exp(-i m T) [cos(W T) - i T sinc(W T / pi)
+    (D sigma_z + Re h sigma_x - Im h sigma_y)], W = sqrt(D^2 + |h|^2);
+    np.sinc gives the W = 0 limit T.  Returns the rows unnormalized.
+    """
+    key = step[0]
+    i, j = pair
+    d = _diagonal(params.N, key.omega_1r, key.phi_1r, key.delta_01).real
+    h0 = _pair_coupling(params.N, key.omega_01, pair)[0]
+    q = _excitations(params.N)
+    T = np.array([p.T for p in step])
+    h = h0 * np.exp(-1j * (q[i] - q[j]) * np.array([p.phi_01 for p in step]))
+    mean, half = (d[i] + d[j]) / 2, (d[i] - d[j]) / 2
+    turn = math.sqrt(half * half + abs(h0) ** 2) * T
+    c, s = np.cos(turn), -1j * T * np.sinc(turn / math.pi)
+    phase = np.exp(-1j * mean * T)
+    a, b = vecs[:, i], vecs[:, j]
+    out = vecs * np.exp(np.multiply.outer(-1j * T, d))
+    out[:, i] = phase * (c * a + s * (half * a + h * b))
+    out[:, j] = phase * (c * b + s * (h.conj() * a - half * b))
+    return out
 
 
 def replay_effective(initial: QuditState, schedule: PulseSchedule) -> QuditState:
@@ -261,7 +292,7 @@ def _emit_pair_rotation(effs: np.ndarray, pair: tuple[int, int], delta_01: float
     off the control matrix element numerically, so the solution is immune to
     sign-convention drift.  At u = -z the target level is empty and u_x, u_y
     are rounding noise, so the azimuth follows that noise rather than a fixed
-    axis (ROADMAP item 4).  Returns each row's pulses and the advanced stack.
+    axis (ROADMAP item 6).  Returns each row's pulses and the advanced stack.
     """
     omega_01 = opts.omega_01
     h0, h1, rate = _pair_coupling(params.N, omega_01, pair)

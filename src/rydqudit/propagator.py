@@ -161,22 +161,6 @@ def _key_eigensystem(N: int, omega_1r: float, phi_1r: float, omega_01: float,
     return w, V
 
 
-def _key_table(params: ModelParams, pulses: list[PulseParams]
-               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Eigensystems at phi_01 = 0 of the pulses' distinct keys, stacked.
-
-    Returns (w, V, rows): the eigenvalues and eigenvectors of each distinct
-    (omega_1r, phi_1r, omega_01, delta_01), stacked in order of first
-    appearance, and per pulse the row of its key.  A pulse reaches its row
-    through the gauge Z of its own phi_01.
-    """
-    keys: dict[tuple[float, float, float, float], int] = {}
-    rows = [keys.setdefault((p.omega_1r, p.phi_1r, p.omega_01, p.delta_01), len(keys))
-            for p in pulses]
-    systems = [_key_eigensystem(params.N, *key) for key in keys]
-    return np.array([w for w, _ in systems]), np.array([V for _, V in systems]), rows
-
-
 def run_schedule(initial: QuditState, schedule: PulseSchedule,
                  samples_per_pulse: int = DEFAULT_SAMPLES_PER_PULSE) -> Trajectory:
     """Piecewise-exact evolution with intra-pulse samples.
@@ -226,26 +210,28 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
 def schedule_operator(schedule: PulseSchedule) -> np.ndarray:
     """Realized (2N+1)-dimensional evolution operator of a schedule.
 
-    Every distinct (omega_1r, phi_1r, omega_01, delta_01) among the
-    schedule's pulses is read from _key_eigensystem (_key_table); phi_01
-    enters through the gauge Z.  The non-zero pulses are taken _CHUNK at a
-    time: the chunk's unitaries Z V exp(-i w T) V^dag Z^dag are formed in one
-    stacked product, multiplied together as a pairwise tree, and the result
-    is multiplied into the operator.  So temporary memory does not grow with
-    the schedule's length.
+    Each pulse's key (omega_1r, phi_1r, omega_01, delta_01) is read from
+    _key_eigensystem; phi_01 enters through the gauge Z.  The non-zero
+    pulses are taken _CHUNK at a time: the eigensystems of the chunk's
+    pulses are stacked from the cache, the chunk's unitaries
+    Z V exp(-i w T) V^dag Z^dag are formed in one stacked product,
+    multiplied together as a pairwise tree, and the result is multiplied
+    into the operator.  So temporary memory grows neither with the
+    schedule's length nor with its number of distinct keys.
     """
     params = schedule.params
     pulses = [p for p in schedule.pulses if p.T != 0.0]
     U = np.eye(params.dim, dtype=complex)
-    w, V, rows = _key_table(params, pulses)
     q = _excitations(params.N)
     T = np.array([p.T for p in pulses])
     phases = np.array([p.phi_01 for p in pulses])
     for start in range(0, len(pulses), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        row = rows[chunk]
-        ZV = np.exp(np.multiply.outer(-1j * phases[chunk], q))[:, :, None] * V[row]
-        steps = (ZV * np.exp(-1j * w[row] * T[chunk, None])[:, None, :]
+        w, V = map(np.array, zip(*(_key_eigensystem(params.N, p.omega_1r, p.phi_1r,
+                                                     p.omega_01, p.delta_01)
+                                   for p in pulses[chunk])))
+        ZV = np.exp(np.multiply.outer(-1j * phases[chunk], q))[:, :, None] * V
+        steps = (ZV * np.exp(-1j * w * T[chunk, None])[:, None, :]
                  ) @ ZV.conj().transpose(0, 2, 1)
         U = _time_ordered_product(steps) @ U
     return U

@@ -629,12 +629,17 @@ def run_python(tmp_path, *args):
 
 
 IMPORT_PROBE = """
+import math
 import sys
 import rydqudit as rq
 
 def loaded(package):
     return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
+assert not loaded("click"), loaded("click")
+assert not loaded("scipy"), loaded("scipy")
+# the set-up that perfbench/setup_probe.py times: a first N=2 phase gate
+rq.compile_phase_gate(rq.QuditState.uniform(2), math.pi / 2, rq.CompileOptions(omega_01=1e-2))
 assert not loaded("click"), loaded("click")
 assert not loaded("scipy"), loaded("scipy")
 from rydqudit import schedule_from_json

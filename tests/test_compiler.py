@@ -10,6 +10,8 @@ from scipy.stats import unitary_group
 
 from rydqudit.core import (
     _diagonal,
+    _pair_bloch,
+    _position,
     ContractViolation,
     DressedIndex,
     ModelParams,
@@ -25,6 +27,7 @@ from rydqudit.compiler import (
     _fold_levels,
     _invert_pulse,
     _pair_hamiltonian,
+    _pair_step,
     _pulse_kind,
     CompileOptions,
     compile_full_control,
@@ -508,10 +511,11 @@ def test_compile_unitary_equals_its_phase_gates_in_sequence(case, variant, skip)
         assert schedule.pulses and not any("fold" in p.label for p in schedule.pulses)
 
 
-def test_compile_unitary_diagonalises_each_fold_step_in_one_eigh(monkeypatch):
-    U = hadamard_target(9)
-    opts = CompileOptions(omega_01=1e-2)
-    warm = _fields(compile_unitary(U, opts))    # fills the doublet and calibration caches
+def test_warm_compiles_make_no_eigh(monkeypatch):
+    # fold pulses advance in closed form, doublet pulses read the key cache
+    hadamard = (hadamard_target(9), CompileOptions(omega_01=1e-2))
+    prep = (random_qudit_state(12, 5), CompileOptions(omega_01=1e-3))
+    warm = [_fields(compile_unitary(*hadamard)), _fields(compile_state_prep(*prep))]
     calls = []
     eigh = np.linalg.eigh
 
@@ -520,10 +524,8 @@ def test_compile_unitary_diagonalises_each_fold_step_in_one_eigh(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    assert _fields(compile_unitary(U, opts)) == warm
-    # matrices, not calls: a stacked eigh diagonalises its leading dimensions
-    assert sum(math.prod(shape[:-2]) for shape in calls) == 280
-    assert len(calls) <= 2 * (9 - 1)
+    assert [_fields(compile_unitary(*hadamard)), _fields(compile_state_prep(*prep))] == warm
+    assert calls == []
 
 
 def test_compile_unitary_validation():
@@ -688,6 +690,34 @@ def test_direct_assembly_matches_label_effective_bytes(N, w):
     assert count == 32 * (2 * (params.N - 1) + 2)
 
 
+@pytest.mark.parametrize("N, w", [(2, 1.0), (3, 1.0), (9, 1.0), (3, 2.5)],
+                         ids=["N2", "N3", "N9", "N3-w2.5"])
+def test_closed_form_step_matches_eigh_of_the_pair_hamiltonian(N, w):
+    # every level as a row, so the step returns the transposed propagator;
+    # the pulses include detuned tilde :b halves, inversions and w/2 drives
+    params = ModelParams(N)
+    rows = np.eye(params.dim, dtype=complex)
+    for pair, pulse in pair_rotations(params, w, seed=31):
+        step = _pair_step(rows, params, (pulse,) * params.dim, pair)
+        exact = _evolve(_pair_hamiltonian(params, pulse, pair), pulse.T, rows)
+        d = _diagonal(N, pulse.omega_1r, pulse.phi_1r, pulse.delta_01).real
+        bound = 1e-12 * (1.0 + np.max(np.abs(d)) * pulse.T)
+        assert np.max(np.abs(step.T - exact)) <= bound, pulse.label
+
+
+def test_closed_form_step_without_coupling_or_detuning():
+    # h = 0 and d_i = d_j, so W = 0: sinc's limit keeps the rows finite
+    params = ModelParams(3)
+    pair = (0, _position(+1, 1))
+    pulse = PulseParams(7.0, 1.0, 0.0, 0.0, 0.4, 0.5, label="g0rot(+)")
+    d = _diagonal(params.N, pulse.omega_1r, pulse.phi_1r, pulse.delta_01).real
+    assert d[pair[0]] == d[pair[1]] == 0.0
+    step = _pair_step(np.eye(params.dim, dtype=complex), params, (pulse,) * params.dim, pair)
+    assert np.all(np.isfinite(step))
+    assert np.count_nonzero(step - np.diag(np.diag(step))) == 0
+    assert np.max(np.abs(np.diag(step) - np.exp(-1j * d * pulse.T))) <= 1e-15
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 9])
 @pytest.mark.parametrize("omega_1r", [1.0, 0.7])
 def test_cached_doublet_eigensystem_matches_fresh_eigh(N, omega_1r):
@@ -718,25 +748,81 @@ def _compile_cases(N, ratio, variant):
     }
 
 
+def assert_fields_close(direct, reference):
+    """Labels and the fields no pulse solves for bit-equal; T equal to 1e-9
+    relative and phi_01 to 1e-8, wrapped."""
+    assert len(direct.pulses) == len(reference.pulses)
+    for a, b in zip(direct.pulses, reference.pulses):
+        fixed = [(p.label, *(getattr(p, name).hex() for name in
+                             ("omega_1r", "phi_1r", "omega_01", "delta_01"))) for p in (a, b)]
+        assert fixed[0] == fixed[1]
+        assert abs(a.T - b.T) <= 1e-9 * b.T, a.label
+        assert abs(wrap_phase(a.phi_01 - b.phi_01)) <= 1e-8, a.label
+
+
 @pytest.mark.parametrize("variant", ["plain", "tilde"])
 @pytest.mark.parametrize("ratio", [1e-3, 1e-2])
 @pytest.mark.parametrize("N", [2, 3, 5])
 def test_schedules_equal_the_label_driven_advance(N, ratio, variant, monkeypatch):
+    # the closed-form step differs from eigh by rounding; a readout tracks
+    # its folds without _advance and keeps every byte
     cases = _compile_cases(N, ratio, variant)
     _diagonal.cache_clear()
     _key_eigensystem.cache_clear()
-    cold = {kind: _fields(make()) for kind, make in cases.items()}
+    compiler._pair_coupling.cache_clear()
+    cold = {kind: make() for kind, make in cases.items()}
     warm = {kind: _fields(make()) for kind, make in cases.items()}
     monkeypatch.setattr(compiler, "_advance", label_advance)
-    reference = {kind: _fields(make()) for kind, make in cases.items()}
-    assert cold == reference
-    assert warm == reference
+    reference = {kind: make() for kind, make in cases.items()}
+    assert {kind: _fields(schedule) for kind, schedule in cold.items()} == warm
+    assert _fields(cold["readout"]) == _fields(reference["readout"])
+    for kind in ("prep", "phase"):
+        assert_fields_close(cold[kind], reference[kind])
+
+
+def first_south_pole_fold(U, opts):
+    """Position in compile_unitary(U, opts) of the first fold whose pair's
+    Bloch vector starts at u_z < -1 + 1e-12, or None.
+
+    There the target level is empty, and _pair_axis takes phi_01 from the
+    rounding noise in u_x and u_y (ROADMAP item 6).
+    """
+    params = ModelParams(len(U) // 2)
+    start = 0
+    for v in unitary_eigensystem(U)[1].T:
+        target = QuditState.from_vector(np.concatenate(([0.0], v)), normalize=True)
+        forward = compile_full_control(target, opts)
+        vec = target.amplitudes
+        for k, p in enumerate(forward.pulses):
+            pair = _pulse_kind(p.label, params.N)[0]
+            if pair is not None and _pair_bloch(vec, *pair)[0][2] < -1.0 + 1e-12:
+                return start + k
+            vec = _evolve(effective_hamiltonian(params, p), p.T, vec)
+        start += 2 * len(forward) + 2       # forward pass, phase pulses, inverse
+    return None
+
+
+def replayed_gate(schedule):
+    """The qudit block of the schedule's operator under replay_effective."""
+    basis = np.eye(schedule.params.dim, dtype=complex)
+    return np.array([replay_effective(QuditState(e), schedule).amplitudes[1:]
+                     for e in basis[1:]]).T
 
 
 @pytest.mark.parametrize("variant", ["plain", "tilde"])
 @pytest.mark.parametrize("N", [2, 3])
 def test_hadamard_equals_the_label_driven_advance(N, variant, monkeypatch):
+    # up to the first fold at the south pole the schedules agree to rounding;
+    # from there phi_01 follows the noise, so both must realise the gate
+    U = hadamard_target(N)
     opts = CompileOptions(omega_01=1e-2, fold_variant=variant)
-    direct = _fields(compile_unitary(hadamard_target(N), opts))
+    direct = compile_unitary(U, opts)
+    first = first_south_pole_fold(U, opts)
+    assert (first is None) == (N == 2)
     monkeypatch.setattr(compiler, "_advance", label_advance)
-    assert direct == _fields(compile_unitary(hadamard_target(N), opts))
+    reference = compile_unitary(U, opts)
+    head = slice(0, first)
+    assert_fields_close(PulseSchedule(direct.params, direct.pulses[head]),
+                        PulseSchedule(reference.params, reference.pulses[head]))
+    for schedule in (direct, reference):
+        assert np.max(np.abs(replayed_gate(schedule) - U)) <= 1e-10

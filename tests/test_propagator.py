@@ -488,6 +488,31 @@ def test_schedule_operator_memory_does_not_grow_with_length():
     assert double <= 1.1 * single
 
 
+def keyed_schedule(n, keys, seed):
+    # n pulses at N = 12 cycling through `keys` random keys, each at its own
+    # phi_01 and T
+    rng = np.random.default_rng((seed, keys))
+    bases = [random_pulse(rng) for _ in range(keys)]
+    return PulseSchedule(ModelParams(12), [
+        replace(bases[i % keys], phi_01=float(rng.uniform(-math.pi, math.pi)),
+                T=float(rng.uniform(0.1, 8.0))) for i in range(n)])
+
+
+def test_schedule_operator_memory_does_not_grow_with_distinct_keys():
+    # each chunk stacks its own pulses' eigensystems from the cache, never
+    # a copy of every key the schedule holds
+    few, many = keyed_schedule(256, 64, 3), keyed_schedule(256, 128, 3)
+    assert len(distinct_keys(few)) == 64 and len(distinct_keys(many)) == 128
+    tracemalloc.start()
+    try:
+        for schedule in (few, many):
+            schedule_operator(schedule)     # fills the key cache, which holds both sets
+        peaks = [traced_peak(schedule) for schedule in (few, many)]
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
 @given(N=st.integers(1, 12),
        phi_01=st.one_of(st.floats(-math.pi, math.pi), st.sampled_from([0.0, math.pi, -0.0])),
        phi_1r=st.floats(-math.pi, math.pi).filter(lambda x: x != 0.0),
