@@ -108,6 +108,7 @@ def _pos_angle(x: float) -> float:
     return 0.0 if r > TAU - 1e-12 else r
 
 
+@lru_cache(maxsize=2048)    # holds the 16N+4 labels the compiler emits at N = 64
 def _pulse_kind(label: str, N: int) -> tuple[Optional[tuple[int, int]], str]:
     """Resonant (target, other) canonical positions and kind of a pulse label.
 
@@ -115,7 +116,8 @@ def _pulse_kind(label: str, N: int) -> tuple[Optional[tuple[int, int]], str]:
     phase-cancelling half, "~" in the label), "shaped" (a readout fold step),
     "phase" (a phase-gate pulse) or "bare" (a doublet pulse, whose effective
     model is the full Hamiltonian itself, so its pair is None).  An "inv:"
-    prefix does not change either.  Unrecognized labels raise.
+    prefix does not change either.  Unrecognized labels raise, on every call:
+    the cache keeps results only.
     """
     base = label[4:] if label.startswith("inv:") else label
     if base in _PHASE_LABELS:
@@ -205,7 +207,9 @@ def _advance(vecs: np.ndarray, params: ModelParams, pulses: list[tuple[PulsePara
     (_pair_step), with no eigh.  pair is None for bare doublet pulses, whose
     eigensystems the simulator's _key_eigensystem holds.  Every operation
     acts on each row alone, so a row gets the bits it gets in a batch of
-    one.  Returns the normalized rows.
+    one.  Returns the normalized rows; the stacked vector products of the
+    norms run through the BLAS dot of np.linalg.norm, so each row's norm is
+    bit for bit np.linalg.norm(row).
     """
     for step in zip(*pulses):
         if pair is None:
@@ -214,7 +218,9 @@ def _advance(vecs: np.ndarray, params: ModelParams, pulses: list[tuple[PulsePara
             vecs = _propagate(w, V, np.array([p.T for p in step]), vecs)
         else:
             vecs = _pair_step(vecs, params, step, pair)
-    return vecs / np.array([[np.linalg.norm(vec)] for vec in vecs])
+    re, im = vecs.real, vecs.imag
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
+    return vecs / norms[:, 0]
 
 
 def _pair_step(vecs: np.ndarray, params: ModelParams, step: tuple[PulseParams, ...],
@@ -262,23 +268,30 @@ def replay_effective(initial: QuditState, schedule: PulseSchedule) -> QuditState
     return QuditState.from_vector(vec, normalize=True)
 
 
-def _pair_axis(h0: complex, h1: complex, u: np.ndarray) -> tuple[float, float]:
-    """Control phase and rotation angle taking u onto +z, given the pair's
-    coupling element h0 at phi_01 = 0 and h1 at phi_01 = 0.5."""
-    a0 = math.atan2(-h0.imag, h0.real)
-    sense = 1 if wrap_phase(math.atan2(-h1.imag, h1.real) - a0) > 0 else -1
-    theta = math.acos(max(-1.0, min(1.0, float(u[2]))))
-    beta = math.atan2(float(u[1]), float(u[0]))
+def _pair_axis(a0: float, sense: int, u: tuple[float, float, float]) -> tuple[float, float]:
+    """Control phase and rotation angle taking the Bloch vector u onto +z,
+    given the pair's azimuth offset a0 and sense from _pair_coupling."""
+    theta = math.acos(max(-1.0, min(1.0, u[2])))
+    beta = math.atan2(u[1], u[0])
     return wrap_phase(sense * wrap_phase(beta - math.pi / 2 - a0)), theta
 
 
 @lru_cache(maxsize=256)
-def _pair_coupling(N: int, omega_01: float, pair: tuple[int, int]) -> tuple[complex, complex, float]:
-    """The pair's control element h0 at phi_01 = 0 and h1 at 0.5, and its
-    rotation rate 2|h0| as a built-in float."""
+def _pair_coupling(N: int, omega_01: float, pair: tuple[int, int]
+                   ) -> tuple[complex, float, float, int]:
+    """The pair's control element h0 at phi_01 = 0, its rotation rate 2|h0|,
+    and the offset a0 and sense of its realized axis azimuth.
+
+    The azimuth at control phase phi_01 is a0 + sense * phi_01: a0 is read
+    off h0 and the sense off the element at phi_01 = 0.5.  The rate, a0 and
+    the sense are built-in numbers.
+    """
     params = ModelParams(N)
     h0 = control_element(params, omega_01, 0.0, *pair)
-    return h0, control_element(params, omega_01, 0.5, *pair), 2.0 * float(abs(h0))
+    h1 = control_element(params, omega_01, 0.5, *pair)
+    a0 = math.atan2(-h0.imag, h0.real)
+    sense = 1 if wrap_phase(math.atan2(-h1.imag, h1.real) - a0) > 0 else -1
+    return h0, 2.0 * float(abs(h0)), a0, sense
 
 
 def _emit_pair_rotation(effs: np.ndarray, pair: tuple[int, int], delta_01: float,
@@ -286,24 +299,26 @@ def _emit_pair_rotation(effs: np.ndarray, pair: tuple[int, int], delta_01: float
                         ) -> tuple[list[tuple[PulseParams, ...]], np.ndarray]:
     """Pulses rotating each row's (target, other) pair Bloch vector onto +z.
 
-    effs stacks normalized amplitude vectors, one row per target; the rows
-    that emit advance together in one _advance.  The realized in-plane axis
-    azimuth is an affine function of phi_01 whose offset and sense are read
-    off the control matrix element numerically, so the solution is immune to
-    sign-convention drift.  At u = -z the target level is empty and u_x, u_y
-    are rounding noise, so the azimuth follows that noise rather than a fixed
-    axis (ROADMAP item 6).  Returns each row's pulses and the advanced stack.
+    effs stacks normalized amplitude vectors, one row per target.  Each
+    row's pair amplitudes are read as built-in complex numbers and solved in
+    scalar arithmetic; the rows that emit advance together in one _advance.
+    The realized in-plane axis azimuth is an affine function of phi_01 whose
+    offset and sense are read off the control matrix element numerically
+    (_pair_coupling), so the solution is immune to sign-convention drift.
+    At u = -z the target level is empty and u_x, u_y are rounding noise, so
+    the azimuth follows that noise rather than a fixed axis (ROADMAP item 6).
+    Returns each row's pulses and the advanced stack.
     """
     omega_01 = opts.omega_01
-    h0, h1, rate = _pair_coupling(params.N, omega_01, pair)
+    _, rate, a0, sense = _pair_coupling(params.N, omega_01, pair)
     emitted: list[tuple[PulseParams, ...]] = []
     rows = []
-    for k, eff in enumerate(effs):
-        u, weight = _pair_bloch(eff, *pair)
+    for k, amplitudes in enumerate(effs[:, pair].tolist()):
+        u, weight = _pair_bloch(amplitudes, 0, 1)
         if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
             emitted.append(())
             continue
-        phi_01, theta = _pair_axis(h0, h1, u)
+        phi_01, theta = _pair_axis(a0, sense, u)
         T = theta / rate
         if opts.fold_variant == "tilde":
             head, _, tail = name.partition("(")
@@ -351,9 +366,8 @@ def _doublet_senses() -> tuple[int, int]:
     return senses[0], senses[1]
 
 
-def _doublet_pulses(eff: np.ndarray, params: ModelParams
-                    ) -> tuple[tuple[PulseParams, ...], np.ndarray]:
-    """Bare-pulse rotation of the q=1 doublet onto |-,1>.
+def _doublet_pulses(eff: np.ndarray) -> tuple[PulseParams, ...]:
+    """Bare pulses rotating the q=1 doublet of the normalized vector eff onto |-,1>.
 
     A phi_1r = pi pulse precesses the doublet about z, a phi_1r = pi/2 pulse
     about y; the azimuth is first brought to 0 or pi (whichever gives the
@@ -361,10 +375,10 @@ def _doublet_pulses(eff: np.ndarray, params: ModelParams
     """
     u, weight = _pair_bloch(eff, _MINUS1, _PLUS1)
     if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
-        return (), eff
+        return ()
     sense_z, sense_y = _doublet_senses()
-    theta = math.acos(max(-1.0, min(1.0, float(u[2]))))
-    beta = math.atan2(float(u[1]), float(u[0]))
+    theta = math.acos(max(-1.0, min(1.0, u[2])))
+    beta = math.atan2(u[1], u[0])
     best = None
     for goal, psi0 in ((0.0, theta), (math.pi, -theta)):
         az = _pos_angle((goal - beta) * sense_z)
@@ -377,8 +391,7 @@ def _doublet_pulses(eff: np.ndarray, params: ModelParams
         pulses.append(PulseParams(az, 1.0, math.pi, label="doublet:z"))
     if ay > 1e-12:
         pulses.append(PulseParams(ay, 1.0, math.pi / 2, label="doublet:y"))
-    emitted = tuple(pulses)
-    return emitted, _advance(eff[None], params, [emitted], None)[0]
+    return tuple(pulses)
 
 
 def compile_full_control(target: QuditState, opts: CompileOptions,
@@ -398,7 +411,8 @@ def _full_controls(params: ModelParams, targets: list[QuditState], opts: Compile
     """compile_full_control of each target, all advanced in lockstep.
 
     At each fold step every target's pulses are solved on their own, and
-    the targets that emit are advanced together (_emit_pair_rotation).
+    the targets that emit are advanced together (_emit_pair_rotation); the
+    doublet rotations advance together per number of pulses.
     """
     if space not in ("Hprime", "Hfull"):
         raise ValueError(f"unknown space {space!r}")
@@ -416,9 +430,13 @@ def _full_controls(params: ModelParams, targets: list[QuditState], opts: Compile
         for mine, new in zip(pulses, emitted):
             mine.extend(new)
     if space == "Hprime":
-        for k, eff in enumerate(effs):
-            emitted, effs[k] = _doublet_pulses(eff, params)
-            pulses[k].extend(emitted)
+        doublets = [_doublet_pulses(eff) for eff in effs]
+        for count in (1, 2):
+            rows = [k for k, mine in enumerate(doublets) if len(mine) == count]
+            if rows:
+                effs[rows] = _advance(effs[rows], params, [doublets[k] for k in rows], None)
+        for mine, new in zip(pulses, doublets):
+            mine.extend(new)
     # the effective state's norm contract, checked once per pass
     final_pos = _MINUS1 if space == "Hprime" else 0
     if any(abs(QuditState(eff).amplitudes[final_pos]) ** 2 < 1.0 - 1e-9 for eff in effs):
@@ -708,7 +726,7 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
 
     edge = tuple(segment(float(a)) for a in _EDGE_PROFILE)
     flat = segment(1.0)
-    rate = _pair_coupling(params.N, omega_01, pair)[2]
+    rate = _pair_coupling(params.N, omega_01, pair)[1]
     edge_angle = 2.0 * rate * sum(p.T * p.omega_01 for p in edge) / flat.omega_01
     return _ShapedFold(pair, edge_angle, edge, flat, bare, control)
 
@@ -731,8 +749,8 @@ def _readout(target: QuditState, opts: CompileOptions
             u, weight = _pair_bloch(eff / np.linalg.norm(eff), *fold.pair)
             if weight < _WEIGHT_EPS or u[2] > 1.0 - _POLE_EPS:
                 continue
-            h0, h1, rate = _pair_coupling(params.N, opts.omega_01, fold.pair)
-            phi_01, turn = _pair_axis(h0, h1, u)
+            _, rate, a0, sense = _pair_coupling(params.N, opts.omega_01, fold.pair)
+            phi_01, turn = _pair_axis(a0, sense, u)
             if turn < fold.edge_angle:
                 # the edges alone turn too far: go round the other way
                 phi_01, turn = phi_01 + math.pi, TAU - turn
@@ -740,7 +758,9 @@ def _readout(target: QuditState, opts: CompileOptions
             phi_01, T = wrap_phase(phi_01), (turn - fold.edge_angle) / rate
             eff = fold.effective(phi_01, T, eff)
             folds.append((fold, phi_01, T))
-    doublet, final = _doublet_pulses(eff / np.linalg.norm(eff), params)
+    eff = eff / np.linalg.norm(eff)
+    doublet = _doublet_pulses(eff)
+    final = _advance(eff[None], params, [doublet], None)[0]
     if abs(QuditState(final).amplitudes[_MINUS1]) ** 2 < 1.0 - 1e-9:
         raise ContractViolation("readout synthesis failed to concentrate the state")
     return folds, PulseSchedule(params, doublet)

@@ -393,23 +393,26 @@ def _diagonal(N: int, omega_1r: float, phi_1r: float, delta_01: float) -> np.nda
     return d
 
 
-def _pair_bloch(amplitudes: np.ndarray, up: int, down: int) -> tuple[np.ndarray, float]:
+def _pair_bloch(amplitudes: np.ndarray | list[complex], up: int, down: int
+                ) -> tuple[tuple[float, float, float], float]:
     """Bloch coordinates of an amplitude vector projected onto the pair (up, down).
 
-    ``up`` and ``down`` are canonical positions and fix the orientation;
-    returns ``(u, weight)`` with ``weight`` the population on the pair and
-    ``u`` the unit Bloch vector of the projected state (zero vector when the
-    weight vanishes).
+    ``amplitudes`` is any indexable sequence of complex numbers (an array
+    or a list); ``up`` and ``down`` are its positions of the pair and fix
+    the orientation.  Returns ``(u, weight)`` with ``weight`` the population
+    on the pair and ``u`` the unit Bloch vector of the projected state (zero
+    vector when the weight vanishes), all built-in floats, computed in
+    built-in complex arithmetic that rounds as numpy's complex128 scalars do.
     """
-    a_up = amplitudes[up]
-    a_down = amplitudes[down]
-    weight = float(abs(a_up) ** 2 + abs(a_down) ** 2)
+    a_up = complex(amplitudes[up])
+    a_down = complex(amplitudes[down])
+    p_up, p_down = abs(a_up) ** 2, abs(a_down) ** 2
+    weight = p_up + p_down
     if weight == 0.0:
-        return np.zeros(3), 0.0
-    cross = np.conj(a_up) * a_down
-    u = np.array([2.0 * cross.real, 2.0 * cross.imag,
-                  abs(a_up) ** 2 - abs(a_down) ** 2]) / weight
-    return u, weight
+        return (0.0, 0.0, 0.0), 0.0
+    cross = a_up.conjugate() * a_down
+    return (2.0 * cross.real / weight, 2.0 * cross.imag / weight,
+            (p_up - p_down) / weight), weight
 
 
 def qudit_ordering_permutation(N: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from rydqudit.core import (
     PulseParams,
     QuditState,
     build_total,
+    control_element,
     hadamard_target,
     wrap_phase,
 )
@@ -140,6 +141,49 @@ def test_pulse_kind_pairs_match_dressed_index_positions(N):
         _pulse_kind(f"fold(+,q={N})", N)
 
 
+@pytest.mark.parametrize("N", [2, 9])
+def test_pulse_kind_raises_on_every_call(N):
+    # the cache keeps results only, so a bad label is parsed and refused anew
+    _pulse_kind.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="does not identify a resonant pair"):
+            _pulse_kind("mystery", N)
+        with pytest.raises(ValueError, match=f"q={N} out of range"):
+            _pulse_kind(f"fold(+,q={N})", N)
+    assert _pulse_kind.cache_info().currsize == 0
+    assert _pulse_kind("inv:fold~(-,q=1):b", N) is _pulse_kind("inv:fold~(-,q=1):b", N)
+
+
+def _per_call_pair_axis(h0, h1, u):
+    """_pair_axis as it read the azimuth offset and sense off h0 and h1 on every call."""
+    a0 = math.atan2(-h0.imag, h0.real)
+    sense = 1 if wrap_phase(math.atan2(-h1.imag, h1.real) - a0) > 0 else -1
+    theta = math.acos(max(-1.0, min(1.0, float(u[2]))))
+    beta = math.atan2(float(u[1]), float(u[0]))
+    return (a0, sense), (wrap_phase(sense * wrap_phase(beta - math.pi / 2 - a0)), theta)
+
+
+@pytest.mark.parametrize("N", [2, 3, 9])
+@pytest.mark.parametrize("ratio", [1e-3, 1e-2])
+def test_pair_coupling_caches_the_per_call_axis_constants(N, ratio):
+    params = ModelParams(N)
+    rng = np.random.default_rng((23, N))
+    bloch = [_pair_bloch(rng.normal(size=2) + 1j * rng.normal(size=2), 0, 1)[0]
+             for _ in range(8)] + [(0.0, 0.0, 1.0), (1e-17, -2e-17, -1.0)]
+    pairs = [_fold_levels(s, q)[0] for q in range(1, N) for s in (+1, -1)]
+    pairs += [(0, _position(s, 1)) for s in (+1, -1)]
+    for pair in pairs:
+        h0 = control_element(params, ratio, 0.0, *pair)
+        h1 = control_element(params, ratio, 0.5, *pair)
+        cached_h0, rate, a0, sense = compiler._pair_coupling(N, ratio, pair)
+        assert cached_h0 == h0 and rate == 2.0 * float(abs(h0))
+        assert type(a0) is float and type(sense) is int
+        for u in bloch:
+            constants, axis = _per_call_pair_axis(h0, h1, u)
+            assert (a0, sense) == constants
+            assert compiler._pair_axis(a0, sense, u) == axis
+
+
 def test_schedules_are_compiled_without_dressed_index_objects(monkeypatch):
     # levels inside a compile are canonical positions; the public type is
     # for callers only
@@ -216,6 +260,41 @@ def test_measure_projection_rejects_a_state_of_another_atom_count():
         measure_projection(random_qudit_state(2, 0), random_qudit_state(3, 0), OPTS)
 
 
+def _advance_cases(N, pair, batch):
+    """Seeded unnormalized rows of width 2N+1 at scales 1e-3 to 1e3, and one
+    step of pulses per row resonant on pair (None: bare doublet pulses)."""
+    rng = np.random.default_rng((29, N, batch))
+    shape = (batch, 2 * N + 1)
+    vecs = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * 10.0 ** rng.uniform(-3, 3, size=(batch, 1))
+    if pair is None:
+        pulses = [(PulseParams(rng.uniform(0.1, 5.0), 1.0, rng.choice([math.pi, math.pi / 2]),
+                               label="doublet:z"),) for _ in range(batch)]
+    else:
+        pulses = [(PulseParams(rng.uniform(1.0, 1e3), 1.0, 0.0, 1e-2,
+                               rng.uniform(-math.pi, math.pi), 0.5, label="g0rot(+)"),)
+                  for _ in range(batch)]
+    return vecs, pulses
+
+
+@pytest.mark.parametrize("N", [1, 9, 12])   # widths 3, 19 and 25
+@pytest.mark.parametrize("resonant", [True, False])
+def test_advance_rows_are_normalized_as_np_linalg_norm_in_any_batch(N, resonant):
+    params = ModelParams(N)
+    pair = (0, _position(+1, 1)) if resonant else None
+    for batch in (1, 2, 18):
+        vecs, pulses = _advance_cases(N, pair, batch)
+        normalized = compiler._advance(vecs, params, [()] * batch, pair)
+        stepped = compiler._advance(vecs, params, pulses, pair)
+        for k, vec in enumerate(vecs):
+            assert normalized[k].tobytes() == (vec / np.linalg.norm(vec)).tobytes()
+            alone = compiler._advance(vecs[k:k + 1], params, pulses[k:k + 1], pair)[0]
+            assert stepped[k].tobytes() == alone.tobytes()
+            if resonant:
+                raw = _pair_step(vecs[k:k + 1], params, pulses[k], pair)[0]
+                assert alone.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+
+
 def test_readout_fold_turns_the_other_way_when_its_edges_overshoot():
     # the first fold (+, q=2) of N = 3 must turn its pair by less than its
     # edges alone turn it, though by more than the skip threshold, so it
@@ -230,7 +309,7 @@ def test_readout_fold_turns_the_other_way_when_its_edges_overshoot():
     amp[MINUS1.position()] = 0.5
     target = QuditState.from_vector(amp, normalize=True)
     (fold, _, T), *_ = compiler._readout(target, opts)[0]
-    rate = compiler._pair_coupling(N, opts.omega_01, first.pair)[2]
+    rate = compiler._pair_coupling(N, opts.omega_01, first.pair)[1]
     assert fold is first and T > math.pi / rate
     state = random_qudit_state(N, 0)
     p = measure_projection(state, target, opts)

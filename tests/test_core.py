@@ -355,6 +355,37 @@ def test_bloch_vector_orientation():
     assert u == pytest.approx([0.0, 0.0, 1.0])
 
 
+def _numpy_pair_bloch(amplitudes, up, down):
+    """_pair_bloch in numpy complex128 scalar arithmetic, the reference."""
+    a_up = amplitudes[up]
+    a_down = amplitudes[down]
+    weight = float(abs(a_up) ** 2 + abs(a_down) ** 2)
+    if weight == 0.0:
+        return np.zeros(3), 0.0
+    cross = np.conj(a_up) * a_down
+    return np.array([2.0 * cross.real, 2.0 * cross.imag,
+                     abs(a_up) ** 2 - abs(a_down) ** 2]) / weight, weight
+
+
+def test_pair_bloch_equals_the_numpy_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(17)
+    cases = [(rng.normal(size=5) + 1j * rng.normal(size=5)) * 10.0 ** rng.uniform(-8, 3)
+             for _ in range(200)]
+    cases += [np.zeros(5, dtype=complex),                       # weight 0
+              np.array([0.3, 0.6 - 0.2j, 0.0, 0.5j, 0.1]),      # u at +z
+              np.array([0.3, 0.0, -0.7 + 0.1j, 0.5j, 0.1]),     # u at -z
+              np.array([0.0, 1e-160, 1e-170j, 0.0, 0.0])]       # squares below the normal range
+    for amplitudes in cases:
+        ref_u, ref_weight = _numpy_pair_bloch(amplitudes, 1, 2)
+        for given in (amplitudes, amplitudes.tolist()):
+            u, weight = _pair_bloch(given, 1, 2)
+            assert all(type(x) is float for x in (*u, weight))
+            assert np.array(u).tobytes() == ref_u.tobytes()
+            assert weight.hex() == ref_weight.hex()
+    assert _pair_bloch(cases[-3], 1, 2)[0][2] == 1.0
+    assert _pair_bloch(cases[-2], 1, 2)[0][2] == -1.0
+
+
 def test_basis_state_rejects_level_above_atom_count():
     with pytest.raises(ValueError, match=r"level \+,3 needs at least 3 sites, got N=2"):
         QuditState.basis_state(2, DressedIndex.branch(+1, 3))

@@ -11,8 +11,9 @@ doublet calibrations.  The cases are state prep, a Haar phase gate
 (Phi = -2.3), a uniform phase gate (pi/2) and a readout at N in {1, 2, 3, 5,
 9}, ratio in {1e-3, 1e-2}, plain and tilde folds; Hadamard with and without
 skip_zero_phases at N <= 3 and N = 9, ratio 1e-2, and with tilde folds at N
-in {3, 5}; seeded Haar unitaries at N in {3, 5}, both ratios, plain and tilde
-folds; the identity with skip_zero_phases, which compiles no phase gate;
+in {3, 5, 9} (at N = 9 many folds start at the south pole, where phi_01
+follows rounding noise, so a rounding slip shows there first); seeded Haar
+unitaries at N in {3, 5}, both ratios, plain and tilde folds; the identity with skip_zero_phases, which compiles no phase gate;
 measure_projection with plain folds; state prep, readout and
 measure_projection at N = 12, ratio 1e-3, plain folds, the size the
 benchmark's prep_trajectory runs; and one inverted full-control schedule.
@@ -197,9 +198,10 @@ def main() -> None:
             digest(f"hadamard N={N} skip_zero_phases={skip}", hadamard)
             if N == 3 and not skip:
                 boundaries(f"{_TRAJECTORY}hadamard N=3 ratio=0.01", haar(3, 4), hadamard)
-    for N in (3, 5):
+    for N in (3, 5, 9):
         opts = rq.CompileOptions(omega_01=1e-2, fold_variant="tilde")
         digest(f"hadamard N={N} ratio=0.01 tilde", rq.compile_unitary(rq.hadamard_target(N), opts))
+    for N in (3, 5):
         for ratio in RATIOS:
             for variant in VARIANTS:
                 opts = rq.CompileOptions(omega_01=ratio, fold_variant=variant)
