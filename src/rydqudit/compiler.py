@@ -464,7 +464,11 @@ def invert_full_control(schedule: PulseSchedule) -> PulseSchedule:
     Reverses the pulse order; fold and ground-rotation pulses get phi_01 + pi
     with phi_1r -> phi_1r + pi and delta_01 negated (axis flip alone for the
     phase-cancelling halves); bare doublet pulses get phi_1r + pi.  The map
-    is an involution.
+    is an involution.  An inverted whole rotation or bare pulse runs under
+    exactly -H of the pulse it undoes in the full ladder, so its unitary is
+    that pulse's adjoint and schedule_operator pairs the two
+    (propagator._undoes).  An inverted tilde half keeps phi_1r and
+    delta_01, so it is not -H of its partner and is never paired.
     """
     N = schedule.params.N
     return PulseSchedule(schedule.params,

@@ -48,6 +48,7 @@ from rydqudit.propagator import (
     _evolve,
     _key_eigensystem,
     extract_gate,
+    run_schedule,
     schedule_operator,
 )
 
@@ -457,11 +458,18 @@ def test_inversion_rejects_phase_and_out_of_range_labels(label):
 
 
 def test_inverted_o_composes_to_identity_full_simulation():
+    # schedule_operator evaluates a pass followed by its inverse as F^dag F,
+    # the identity by construction; run_schedule evolves every inverse pulse
+    # through its own Hamiltonian, so its columns test the inversion rule
     N = 3
     target = random_qudit_state(N, 7)
     schedule = compile_full_control(target, OPTS)
-    gate = extract_gate(schedule.concat(invert_full_control(schedule))).gate
-    assert infidelity(np.eye(2 * N), gate) <= 1e-4
+    both = schedule.concat(invert_full_control(schedule))
+    identity = np.eye(2 * N + 1, dtype=complex)
+    U = np.array([run_schedule(QuditState(column), both, samples_per_pulse=1).final_state.amplitudes
+                  for column in identity]).T
+    assert np.max(np.abs(U - identity)) <= 1e-12
+    assert np.max(np.abs(extract_gate(both).full_operator - U)) <= 1e-12
 
 
 @pytest.mark.parametrize("Phi", [math.pi / 2, -2.0, 3.0])

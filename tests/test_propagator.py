@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from rydqudit.compiler import CompileOptions, compile_state_prep, compile_unitary
+from rydqudit.compiler import (
+    CompileOptions,
+    _invert_pulse,
+    _pulse_kind,
+    compile_phase_gate,
+    compile_state_prep,
+    compile_unitary,
+)
 from rydqudit.core import (
     ContractViolation,
     DressedIndex,
@@ -20,6 +27,7 @@ from rydqudit.core import (
     QuditState,
     build_total,
     hadamard_target,
+    wrap_phase,
 )
 from rydqudit.propagator import (
     _CHUNK,
@@ -27,6 +35,7 @@ from rydqudit.propagator import (
     _evolve,
     _gauge,
     _key_eigensystem,
+    _mirrored_runs,
     _propagate,
     extract_gate,
     interaction_frame,
@@ -48,8 +57,9 @@ def random_pulse(rng, label=""):
 
 
 @cache
-def hadamard_schedule(N):
-    return compile_unitary(hadamard_target(N), CompileOptions(omega_01=1e-2))
+def hadamard_schedule(N, fold_variant="plain"):
+    return compile_unitary(hadamard_target(N), CompileOptions(omega_01=1e-2,
+                                                              fold_variant=fold_variant))
 
 
 def random_state(rng, N):
@@ -344,20 +354,48 @@ def haar_qudit(seed, N):
     return QuditState.from_vector(v, normalize=True)
 
 
+def paired(schedule):
+    # positions of the non-zero pulses that schedule_operator pairs, not forms
+    pulses = [p for p in schedule.pulses if p.T != 0.0]
+    skipped, start = [], 0
+    for forward, core in _mirrored_runs(pulses):
+        start += forward + core
+        skipped += range(start, start + forward)
+        start += forward
+    assert start == len(pulses)     # the blocks tile the schedule
+    return skipped
+
+
+def formed(schedule):
+    # the pulses schedule_operator forms: every block's forward run and core
+    pulses = [p for p in schedule.pulses if p.T != 0.0]
+    skipped = set(paired(schedule))
+    return PulseSchedule(schedule.params, [p for k, p in enumerate(pulses) if k not in skipped])
+
+
 def test_schedule_operator_makes_one_eigh_per_distinct_key(monkeypatch):
+    # one eigh per distinct key of the pulses it forms; the paired inverse
+    # pulses, whose keys a plain unitary holds apart, are never formed
     schedule = hadamard_schedule(3)
     keys = distinct_keys(schedule)
     assert (len(schedule), len(keys)) == (80, 14)
+    formed_keys = distinct_keys(formed(schedule))
+    assert len(formed_keys) == 8
     preps = {ratio: [compile_state_prep(haar_qudit(seed, 5), CompileOptions(omega_01=ratio))
                      for seed in (1, 2)] for ratio in (1e-3, 1e-2)}
     first, second = preps[1e-3]
     assert distinct_keys(first) == distinct_keys(second)
+    assert len(formed(first)) == len(first)     # a state prep holds no mirror
     _key_eigensystem.cache_clear()
     calls = count_eigh(monkeypatch)
     schedule_operator(schedule)
+    assert diagonalised(calls) == len(formed_keys)
+    # the eigensystems outlive the call: a second call diagonalises nothing,
+    # and a trajectory through the same schedule only the inverse pulses' keys
+    schedule_operator(schedule)
+    assert diagonalised(calls) == len(formed_keys)
+    run_schedule(QuditState.uniform(3), schedule, samples_per_pulse=2)
     assert diagonalised(calls) == len(keys)
-    # the eigensystems outlive the call: a second call and a trajectory
-    # through the same keys diagonalise nothing
     schedule_operator(schedule)
     run_schedule(QuditState.uniform(3), schedule, samples_per_pulse=2)
     assert diagonalised(calls) == len(keys)
@@ -465,6 +503,125 @@ def test_schedule_without_nonzero_pulses_is_the_exact_identity(N):
     for pulses in ((), (PulseParams(0.0, 1.0, 0.3, 0.2, 0.1, -0.4),) * 3):
         U = schedule_operator(PulseSchedule(ModelParams(N), pulses))
         assert U.dtype == complex and U.tobytes() == identity.tobytes()
+
+
+# --- mirrored runs ----------------------------------------------------------
+
+
+def keyed_reference(schedule):
+    # one pulse at a time through its key's cached eigensystem and gauge, as
+    # run_schedule evolves: neither chunked nor paired.  reference_operator
+    # differs from this route by the gauge's rounding, up to 2e-9 on the N = 12
+    # phase gate, which would hide a pairing fault of that size
+    N = schedule.params.N
+    U = np.eye(schedule.params.dim, dtype=complex)
+    for p in schedule.pulses:
+        if p.T != 0.0:
+            w, V = _key_eigensystem(N, p.omega_1r, p.phi_1r, p.omega_01, p.delta_01)
+            z = _gauge(N, p.phi_01)
+            U = z[:, None] * _propagate(w, V, p.T, z.conj()[:, None] * U)
+    return U
+
+
+@cache
+def paired_schedule(name):
+    if name.startswith("hadamard"):
+        _, N, variant = name.split("-")
+        return hadamard_schedule(int(N), variant)
+    if name == "phase-n12":
+        # pulses up to 3.7e4 long
+        return compile_phase_gate(haar_qudit(4, 12), -2.3, CompileOptions(omega_01=1e-3))
+    return PREP_N4
+
+
+@pytest.mark.parametrize("name", ["hadamard-3-plain", "hadamard-3-tilde", "hadamard-5-plain",
+                                  "hadamard-5-tilde", "phase-n12", "prep-n4"])
+def test_paired_operator_matches_the_per_pulse_product(name):
+    schedule = paired_schedule(name)
+    # a state prep inverts a full control whole, with no core to mirror around
+    assert bool(paired(schedule)) == (name != "prep-n4")
+    U = schedule_operator(schedule)
+    assert np.max(np.abs(U - keyed_reference(schedule))) <= 1e-12
+
+
+@pytest.mark.parametrize("forward", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_random_mirror_around_a_random_core_is_paired(forward):
+    # random whole rotations and bare pulses, inverted by the compiler's own
+    # rule around a random two-pulse core, between two unpaired pulses
+    rng = np.random.default_rng((29, forward))
+    N = 4
+    run = [replace(random_pulse(rng), omega_1r=1.0, label="fold(+,q=2)") if k % 3 else
+           replace(random_pulse(rng), omega_01=0.0, delta_01=0.0, label="doublet:z")
+           for k in range(forward)]
+    core = [random_pulse(rng, "phase:a"), random_pulse(rng, "phase:b")]
+    mirror = [_invert_pulse(p, N) for p in reversed(run)]
+    schedule = PulseSchedule(ModelParams(N), [random_pulse(rng)] + run + core + mirror
+                             + [random_pulse(rng)])
+    assert _mirrored_runs(list(schedule.pulses)) == [(0, 1), (forward, 2), (0, 1)]
+    U = schedule_operator(schedule)
+    assert np.max(np.abs(U - keyed_reference(schedule))) <= 1e-12
+
+
+def test_hadamard_n9_pairs_every_inverse_full_control_pass():
+    schedule = hadamard_schedule(9)
+    pulses = schedule.pulses
+    blocks = _mirrored_runs(list(pulses))
+    assert len(blocks) == 18 and 0 not in [forward for forward, _ in blocks]
+    start = 0
+    for forward, core in blocks:
+        labels = [p.label for p in pulses[start:start + 2 * forward + core]]
+        assert labels[0] == "fold(+,q=8)"
+        head, tail = labels[:forward], labels[:forward + core - 1:-1]
+        assert tail == ["phase:b" if label == "phase:a" else "inv:" + label for label in head]
+        # the core is the phase block, unless its second pulse undoes its
+        # first (an eigenphase at pi), when the phase block joins the mirror
+        if core:
+            assert labels[forward:forward + core] == ["phase:a", "phase:b"]
+            assert labels[forward - 1] == "doublet:y"
+        else:
+            assert labels[forward - 1:forward + 1] == ["phase:a", "phase:b"]
+        start += 2 * forward + core
+    skipped = [pulses[k].label for k in paired(schedule)]
+    inverses = [p.label for p in pulses if p.label.startswith("inv:")]
+    assert sorted(label for label in skipped if label != "phase:b") == sorted(inverses)
+    assert len(pulses) - len(skipped) <= 352
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_tilde_folds_pair_no_rotation(N):
+    # a tilde half is not -H of its mirror image, so only the bare doublet
+    # pulses (and a phase block at an eigenphase of pi) pair
+    schedule = hadamard_schedule(N, "tilde")
+    kinds = {_pulse_kind(schedule.pulses[k].label, N)[1] for k in paired(schedule)}
+    assert "bare" in kinds and kinds <= {"bare", "phase"}
+
+
+@pytest.mark.parametrize("field", ["T", "omega_1r", "phi_1r", "omega_01", "phi_01", "delta_01"])
+def test_one_ulp_off_stops_the_mirror(field):
+    schedule = hadamard_schedule(3)
+    pulses = list(schedule.pulses)
+    (f0, c0), *rest = _mirrored_runs(pulses)
+    # the first inverse pulse of the first mirror with the control laser on
+    depth = next(d for d in range(f0) if pulses[f0 + c0 + d].omega_01 != 0.0)
+    k = f0 + c0 + depth
+    value = getattr(pulses[k], field)
+    pulses[k] = replace(pulses[k], **{field: math.nextafter(value, 0.0 if value else 1.0)})
+    assert _mirrored_runs(pulses) == [(0, f0 - depth), (depth, c0), (0, f0 - depth)] + rest
+    moved = PulseSchedule(schedule.params, pulses)
+    assert np.max(np.abs(schedule_operator(moved) - keyed_reference(moved))) <= 1e-12
+
+
+def test_bare_pulses_pair_whatever_their_control_phase():
+    # at omega_01 = 0 the control phase is a gauge of a Hamiltonian that
+    # commutes with it, so it does not enter the rule
+    rng = np.random.default_rng(31)
+    bare = replace(random_pulse(rng), omega_01=0.0, delta_01=0.0)
+    core = random_pulse(rng)
+    undo = replace(bare, phi_1r=wrap_phase(bare.phi_1r + math.pi),
+                   phi_01=float(rng.uniform(-math.pi, math.pi)))
+    schedule = PulseSchedule(ModelParams(3), [bare, core, undo])
+    assert _mirrored_runs(list(schedule.pulses)) == [(1, 1)]
+    assert np.max(np.abs(schedule_operator(schedule) - keyed_reference(schedule))) <= 1e-12
 
 
 def traced_peak(schedule):
