@@ -12,9 +12,9 @@ Arbitrary unitaries are products of such phase gates over their eigenbasis.
 The compiler threads an effective state (diagonal terms plus the currently
 resonant coupling only) through every emitted pulse and solves each pulse's
 (phi_01, T) from the tracked Bloch vector, so accumulated spectator phases
-are honored without symbolic bookkeeping.  Rotation senses and the phase
-offset of the two-pulse phase gate are calibrated numerically once from the
-2x2 effective problem instead of being assumed from sign conventions.
+are honored without symbolic bookkeeping.  Each pair's coupling is read off
+build_control; the bare doublet senses and the phase offset of the two-pulse
+phase gate are calibrated numerically once.
 
 The measurement readout (compile_readout, measure_projection) uses the same
 folds with smoothed edges: each fold's control amplitude ramps up and down in
@@ -50,7 +50,6 @@ from .core import (
     _position,
     build_control,
     build_total,
-    control_element,
     require_unitary,
     wrap_phase,
 )
@@ -158,41 +157,32 @@ def _light_shifts(H: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
 
 
 def effective_hamiltonian(params: ModelParams, pulse: PulseParams) -> np.ndarray:
-    """Diagonal of the full Hamiltonian plus the pulse's resonant coupling only.
+    """Diagonal of build_total(params, pulse) plus the pulse's resonant coupling only.
 
     Shaped readout pulses (label suffix ":shaped") also carry the light
-    shifts of their off-resonant couplings on the diagonal.
+    shifts of their off-resonant couplings on the diagonal; bare doublet
+    pulses keep the whole of build_total.
     """
     pair, kind = _pulse_kind(pulse.label, params.N)
+    H = build_total(params, pulse)
     if pair is None:
-        return build_total(params, pulse)
-    if kind == "shaped":
-        return _light_shifted(build_total(params, pulse), pair)
-    return _pair_hamiltonian(params, pulse, pair)
+        return H
+    return _light_shifted(H, pair) if kind == "shaped" else _resonant_part(H, pair)
 
 
-def _light_shifted(H: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """Diagonal of H with its light shifts, plus the pair's coupling only."""
-    Heff = np.diag(np.diag(H))
-    Heff += np.diag(_light_shifts(H, pair))
+def _resonant_part(H: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Diagonal of H plus the pair's coupling only."""
     i, j = pair
+    Heff = np.diag(np.diag(H))
     Heff[i, j] = H[i, j]
     Heff[j, i] = H[j, i]
     return Heff
 
 
-def _pair_hamiltonian(params: ModelParams, pulse: PulseParams,
-                      pair: tuple[int, int]) -> np.ndarray:
-    """Effective Hamiltonian of an unshaped pulse resonant on pair, built directly.
-
-    The cached diagonal of build_total plus the pair's two control elements,
-    where the bare part is zero: bit for bit the diagonal and pair elements
-    of build_total(params, pulse), without building it.
-    """
-    i, j = pair
-    Heff = np.diag(_diagonal(params.N, pulse.omega_1r, pulse.phi_1r, pulse.delta_01))
-    Heff[i, j] = control_element(params, pulse.omega_01, pulse.phi_01, i, j)
-    Heff[j, i] = control_element(params, pulse.omega_01, pulse.phi_01, j, i)
+def _light_shifted(H: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """_resonant_part of H with its light shifts added to the diagonal."""
+    Heff = _resonant_part(H, pair)
+    Heff.flat[::len(H) + 1] += _light_shifts(H, pair)
     return Heff
 
 
@@ -276,22 +266,30 @@ def _pair_axis(a0: float, sense: int, u: tuple[float, float, float]) -> tuple[fl
     return wrap_phase(sense * wrap_phase(beta - math.pi / 2 - a0)), theta
 
 
+@lru_cache(maxsize=4)      # a compile reads one amplitude; an entry holds 0.27 MB at N_MAX
+def _control(N: int, omega_01: float) -> np.ndarray:
+    """build_control at phi_01 = 0 and zero detuning (read-only)."""
+    H = build_control(ModelParams(N), omega_01, 0.0, 0.0)
+    H.flags.writeable = False
+    return H
+
+
 @lru_cache(maxsize=256)
 def _pair_coupling(N: int, omega_01: float, pair: tuple[int, int]
                    ) -> tuple[complex, float, float, int]:
     """The pair's control element h0 at phi_01 = 0, its rotation rate 2|h0|,
     and the offset a0 and sense of its realized axis azimuth.
 
-    The azimuth at control phase phi_01 is a0 + sense * phi_01: a0 is read
-    off h0 and the sense off the element at phi_01 = 0.5.  The rate, a0 and
-    the sense are built-in numbers.
+    h0 is the (i, j) element of build_control at phi_01 = 0.  A phase phi_01
+    turns it to h0 exp(-i phi_01 (q_i - q_j)), the gauge _pair_step and the
+    simulator use, so the azimuth a0 + sense * phi_01 has a0 the azimuth of
+    h0 and sense = q_i - q_j, -1 on a fold or ground rotation and +1 on the
+    phase block's pair.  The rate, a0 and the sense are built-in numbers.
     """
-    params = ModelParams(N)
-    h0 = control_element(params, omega_01, 0.0, *pair)
-    h1 = control_element(params, omega_01, 0.5, *pair)
-    a0 = math.atan2(-h0.imag, h0.real)
-    sense = 1 if wrap_phase(math.atan2(-h1.imag, h1.real) - a0) > 0 else -1
-    return h0, 2.0 * float(abs(h0)), a0, sense
+    i, j = pair
+    h0 = _control(N, omega_01)[i, j]
+    q = _excitations(N)
+    return h0, 2.0 * float(abs(h0)), math.atan2(-h0.imag, h0.real), int(q[i] - q[j])
 
 
 def _emit_pair_rotation(effs: np.ndarray, pair: tuple[int, int], delta_01: float,
@@ -303,8 +301,8 @@ def _emit_pair_rotation(effs: np.ndarray, pair: tuple[int, int], delta_01: float
     row's pair amplitudes are read as built-in complex numbers and solved in
     scalar arithmetic; the rows that emit advance together in one _advance.
     The realized in-plane axis azimuth is an affine function of phi_01 whose
-    offset and sense are read off the control matrix element numerically
-    (_pair_coupling), so the solution is immune to sign-convention drift.
+    offset is the azimuth of the pair's element of build_control and whose
+    sense is the pair's excitation difference (_pair_coupling).
     At u = -z the target level is empty and u_x, u_y are rounding noise, so
     the azimuth follows that noise rather than a fixed axis (ROADMAP item 6).
     Returns each row's pulses and the advanced stack.
@@ -717,7 +715,7 @@ def _shaped_fold(params: ModelParams, omega_01: float, s: int, q: int) -> _Shape
     step = _edge_step(params.N, s, q)
     label = f"fold({_sgn(s)},q={q}){_SHAPED}"
     bare = build_total(params, PulseParams(step, 1.0))
-    control = build_control(params, omega_01, 0.0, 0.0)
+    control = _control(params.N, omega_01)
 
     def segment(amplitude: float) -> PulseParams:
         # Newton on the pair's light-shifted gap, whose slope in delta_01 is 1

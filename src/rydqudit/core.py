@@ -297,7 +297,7 @@ def jc_energy(q: int, sign: int, omega_1r: float, phi_1r: float) -> float:
 
 @lru_cache(maxsize=None)
 def _couplings(N: int) -> MappingProxyType:
-    """Coupling K_N^q, -Q_N^q or +/-sqrt(N/2) of each control pair (up, down) (read-only)."""
+    """Coupling K_N^q, -Q_N^q or +/-sqrt(N/2) of build_control's pair (up, down) (read-only)."""
     pairs: dict[tuple[int, int], float] = {}
     for s in (+1, -1):
         for q in range(1, N):
@@ -352,31 +352,6 @@ def build_control(params: ModelParams, omega_01: float, phi_01: float,
     # the diagonal of the |s,q> levels: every (dim + 1)-th element after |g,0>
     H.reshape(-1)[params.dim + 1::params.dim + 1] -= delta_01 * _excitations(params.N)[1:]
     return H
-
-
-def control_element(params: ModelParams, omega_01: float, phi_01: float,
-                    row: int, col: int) -> np.complex128:
-    """Off-diagonal element [row, col] of build_control, without building it.
-
-    Equal bit for bit to ``build_control(params, omega_01, phi_01, d)[row, col]``
-    for any detuning d and row != col; zero for an uncoupled pair.
-    """
-    if omega_01 < 0:
-        raise ValueError(f"omega_01 must be >= 0, got {omega_01}")
-    if row == col:
-        raise ValueError("control_element reads off-diagonal elements only")
-    couplings = _couplings(params.N)
-    nx, ny = math.cos(phi_01), math.sin(phi_01)
-    coupling = couplings.get((row, col))
-    if coupling is not None:
-        axis = nx - 1j * ny
-    else:
-        coupling = couplings.get((col, row))
-        if coupling is None:
-            return np.complex128(0.0)
-        axis = nx + 1j * ny
-    # the zero that build_control accumulates into
-    return np.complex128(0j + omega_01 / 2.0 * coupling * axis)
 
 
 def build_total(params: ModelParams, pulse: PulseParams) -> np.ndarray:

@@ -89,9 +89,9 @@ class DecayParams:
 
 
 def decay_survival(traj: Trajectory, decay: DecayParams) -> float:
-    """Survival exp(-Gamma_r * integral of the Rydberg population)."""
-    if traj.times.size < 2:
-        raise ValueError("decay_survival needs a trajectory with >= 2 samples")
+    """Survival exp(-Gamma_r * integral of the Rydberg population); 1.0 for one sample."""
+    if traj.times.size == 0:
+        raise ValueError("decay_survival needs a trajectory with >= 1 sample")
     pops = 0.5 * (1.0 - np.abs(traj.states[:, 0]) ** 2)
     integral = float(np.trapezoid(pops, traj.times))
     return math.exp(-decay.gamma_r * integral)

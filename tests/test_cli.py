@@ -262,6 +262,27 @@ def test_compile_unitary_from_file(runner, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_simulate_a_zero_pulse_schedule_with_initial(runner, tmp_path):
+    # the identity with skip_zero_phases compiles no pulse; its trajectory is
+    # the one initial sample, which spans no time and decays by nothing
+    identity = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    mat_path, sched_path = tmp_path / "I.json", tmp_path / "s.json"
+    mat_path.write_text(json.dumps(identity))
+    res = runner.invoke(main, ["compile", "--gate", "unitary", "--unitary", str(mat_path),
+                               "--skip-zero-phases", "-N", "2", "--ratio", "1e-2",
+                               "-o", str(sched_path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(sched_path.read_text())["pulses"] == []
+    traj_path, report_path = tmp_path / "t.csv", tmp_path / "r.json"
+    res = runner.invoke(main, ["simulate", str(sched_path), "--initial", "uniform",
+                               "--trajectory", str(traj_path), "--gamma-r", "0.5",
+                               "--report", str(report_path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(report_path.read_text())["survival"] == 1.0
+    header, *rows = traj_path.read_text().splitlines()
+    assert header.startswith("time,") and len(rows) == 1
+
+
 def test_simulate_trajectory_output(runner, tmp_path):
     sched_path = tmp_path / "s.json"
     runner.invoke(main, ["compile", "--gate", "phase", "-N", "2",

@@ -17,8 +17,8 @@ from rydqudit.core import (
     ModelParams,
     PulseParams,
     QuditState,
+    build_control,
     build_total,
-    control_element,
     hadamard_target,
     wrap_phase,
 )
@@ -27,7 +27,6 @@ from rydqudit.compiler import (
     _emit_pair_rotation,
     _fold_levels,
     _invert_pulse,
-    _pair_hamiltonian,
     _pair_step,
     _pulse_kind,
     CompileOptions,
@@ -164,25 +163,53 @@ def _per_call_pair_axis(h0, h1, u):
     return (a0, sense), (wrap_phase(sense * wrap_phase(beta - math.pi / 2 - a0)), theta)
 
 
-@pytest.mark.parametrize("N", [2, 3, 9])
+@pytest.mark.parametrize("N", [2, 3, 9, 64])
 @pytest.mark.parametrize("ratio", [1e-3, 1e-2])
 def test_pair_coupling_caches_the_per_call_axis_constants(N, ratio):
+    # the probe at phi_01 = 0.5 is the reference for the azimuth's sense
     params = ModelParams(N)
     rng = np.random.default_rng((23, N))
     bloch = [_pair_bloch(rng.normal(size=2) + 1j * rng.normal(size=2), 0, 1)[0]
              for _ in range(8)] + [(0.0, 0.0, 1.0), (1e-17, -2e-17, -1.0)]
     pairs = [_fold_levels(s, q)[0] for q in range(1, N) for s in (+1, -1)]
     pairs += [(0, _position(s, 1)) for s in (+1, -1)]
+    pairs.append((_position(-1, 1), 0))     # the phase block's pair, sense +1
+    H0, H1 = (build_control(params, ratio, phi, 0.0) for phi in (0.0, 0.5))
     for pair in pairs:
-        h0 = control_element(params, ratio, 0.0, *pair)
-        h1 = control_element(params, ratio, 0.5, *pair)
+        h0, h1 = H0[pair], H1[pair]
         cached_h0, rate, a0, sense = compiler._pair_coupling(N, ratio, pair)
         assert cached_h0 == h0 and rate == 2.0 * float(abs(h0))
         assert type(a0) is float and type(sense) is int
+        assert sense == (1 if pair[1] == 0 else -1)
         for u in bloch:
             constants, axis = _per_call_pair_axis(h0, h1, u)
             assert (a0, sense) == constants
             assert compiler._pair_axis(a0, sense, u) == axis
+
+
+_CONTROL_CACHES = (compiler._control, compiler._pair_coupling, compiler._phase_calibration,
+                   compiler._shaped_fold)
+
+
+def test_cold_compile_builds_the_control_matrix_once_per_amplitude(monkeypatch):
+    # every pair's coupling, gate or readout, is read off one build_control;
+    # the phase calibration reads its own at N = 2, omega_01 = 0.05
+    builds = []
+
+    def counted(params, omega_01, phi_01, delta_01):
+        builds.append((params.N, omega_01))
+        return build_control(params, omega_01, phi_01, delta_01)
+
+    monkeypatch.setattr(compiler, "build_control", counted)
+    for cached in _CONTROL_CACHES:
+        cached.cache_clear()
+    target = random_qudit_state(3, 9)
+    for ratio in (1e-3, 1e-2):
+        opts = CompileOptions(omega_01=ratio)
+        compile_unitary(hadamard_target(3), opts)
+        compile_state_prep(target, opts)
+        compile_readout(target, opts)
+    assert builds == [(3, 1e-3), (2, 0.05), (3, 1e-2)]
 
 
 def test_schedules_are_compiled_without_dressed_index_objects(monkeypatch):
@@ -769,9 +796,8 @@ def pair_rotations(params, w, seed):
 def test_direct_assembly_matches_label_effective_bytes(N, w):
     params = ModelParams(N)
     count = 0
-    for pair, pulse in pair_rotations(params, w, seed=31):
+    for _, pulse in pair_rotations(params, w, seed=31):
         reference = label_effective(params, pulse).tobytes()
-        assert _pair_hamiltonian(params, pulse, pair).tobytes() == reference, pulse.label
         assert effective_hamiltonian(params, pulse).tobytes() == reference, pulse.label
         count += 1
     assert count == 32 * (2 * (params.N - 1) + 2)
@@ -786,7 +812,7 @@ def test_closed_form_step_matches_eigh_of_the_pair_hamiltonian(N, w):
     rows = np.eye(params.dim, dtype=complex)
     for pair, pulse in pair_rotations(params, w, seed=31):
         step = _pair_step(rows, params, (pulse,) * params.dim, pair)
-        exact = _evolve(_pair_hamiltonian(params, pulse, pair), pulse.T, rows)
+        exact = _evolve(effective_hamiltonian(params, pulse), pulse.T, rows)
         d = _diagonal(N, pulse.omega_1r, pulse.phi_1r, pulse.delta_01).real
         bound = 1e-12 * (1.0 + np.max(np.abs(d)) * pulse.T)
         assert np.max(np.abs(step.T - exact)) <= bound, pulse.label

@@ -30,7 +30,6 @@ from rydqudit.core import (
     build_bare,
     build_control,
     build_total,
-    control_element,
     coupling_K,
     coupling_Q,
     hadamard_target,
@@ -486,10 +485,6 @@ def ref_build_control(params, omega_01, phi_01, delta_01):
     return H
 
 
-def ref_control_element(params, omega_01, phi_01, row, col):
-    return ref_build_control(params, omega_01, phi_01, 0.0)[row, col]
-
-
 amplitudes = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
 
@@ -513,20 +508,6 @@ def test_template_builders_match_reference_bit_for_bit(N, phi_1r, phi_01, delta,
     assert build_total(params, pulse).tobytes() == expected.tobytes()
 
 
-@given(N=st.integers(min_value=1, max_value=12), phi_01=phases, omega_01=amplitudes)
-@settings(deadline=None, max_examples=40)
-def test_control_element_matches_reference(N, phi_01, omega_01):
-    params = ModelParams(N)
-    for phi in (phi_01, 0.0, 0.5):
-        H = ref_build_control(params, omega_01, phi, 0.0)
-        for row in range(params.dim):
-            for col in range(params.dim):
-                if row != col:
-                    got = control_element(params, omega_01, phi, row, col)
-                    assert type(got) is type(H[row, col])
-                    assert got.tobytes() == H[row, col].tobytes()
-
-
 def test_templates_cannot_be_poisoned():
     params = ModelParams(4)
     for H in (build_bare(params, 1.0, 0.3), build_control(params, 0.2, 0.4, 0.1)):
@@ -543,8 +524,8 @@ def test_templates_cannot_be_poisoned():
 
 # every cache that holds bits built by the builders, so that each pass of
 # _schedules builds its schedules and operators anew
-_COMPILER_CACHES = (core._diagonal, compiler._doublet_senses, compiler._pair_coupling,
-                    compiler._phase_calibration, compiler._shaped_fold,
+_COMPILER_CACHES = (core._diagonal, compiler._control, compiler._doublet_senses,
+                    compiler._pair_coupling, compiler._phase_calibration, compiler._shaped_fold,
                     propagator._key_eigensystem)
 
 
@@ -572,7 +553,6 @@ def test_schedules_byte_identical_to_reference_builders(monkeypatch):
         m.setattr(core, "build_bare", ref_build_bare)
         m.setattr(core, "build_control", ref_build_control)
         m.setattr(compiler, "build_control", ref_build_control)
-        m.setattr(compiler, "control_element", ref_control_element)
         reference = _schedules()
     # the reference pass filled every cache anew, so no bits of the first
     # pass reached its schedules or operators

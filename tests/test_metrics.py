@@ -1,6 +1,7 @@
 """Infidelity, decay budgets, scans, and the feasibility frontier."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ def test_decay_survival_matches_estimate_for_static_excited_state():
     decay = DecayParams(1e-3)
     assert decay_survival(traj, decay) == pytest.approx(
         decay_estimate(40.0, decay), rel=1e-9)
+
+
+def test_decay_survival_of_a_zero_duration_schedule_is_one():
+    # a schedule of no pulses samples its initial state once and spans no time
+    initial = QuditState.uniform(2)
+    traj = run_schedule(initial, PulseSchedule(ModelParams(2)), samples_per_pulse=4)
+    assert traj.times.size == 1
+    assert decay_survival(traj, DecayParams(0.5)) == 1.0
+    empty = replace(traj, times=traj.times[:0], states=traj.states[:0])
+    with pytest.raises(ValueError, match=">= 1 sample"):
+        decay_survival(empty, DecayParams(0.5))
 
 
 def test_decay_estimate_validation():

@@ -16,9 +16,14 @@ x1.35 apart, which hides small changes; pairs taken microseconds apart
 share the host's slow and fast phases, so their ratio is far steadier.
 
 The ops, all on the generalized Hadamard at N = 9, ratio 1e-2 (668 pulses):
-  schedule_operator   the realized operator of the compiled schedule
-  compile_unitary     compiling the gate
-  schedule_from_json  reading the schedule's JSON document back
+  schedule_operator     the realized operator of the compiled schedule
+  compile_unitary       compiling the gate
+  compile_unitary_cold  compiling the gate after clearing every functools
+                        cache defined in the side's rydqudit.core and
+                        rydqudit.compiler (found by their cache_clear, so the
+                        sides may name them differently); the clearing is
+                        timed with the compile
+  schedule_from_json    reading the schedule's JSON document back
 
 BLAS runs on one thread unless the environment says otherwise.
 """
@@ -57,6 +62,15 @@ def make_op(rq, op: str):
     opts = rq.CompileOptions(omega_01=RATIO)
     if op == "compile_unitary":
         return lambda: rq.compile_unitary(goal, opts)
+    if op == "compile_unitary_cold":
+        caches = [f for module in (rq.core, rq.compiler) for f in vars(module).values()
+                  if hasattr(f, "cache_clear") and f.__module__ == module.__name__]
+
+        def cold():
+            for f in caches:
+                f.cache_clear()
+            rq.compile_unitary(goal, opts)
+        return cold
     schedule = rq.compile_unitary(goal, opts)
     if op == "schedule_operator":
         return lambda: rq.schedule_operator(schedule)
@@ -78,7 +92,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, nargs="?",
                         default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--op", default="schedule_operator",
-                        choices=("schedule_operator", "compile_unitary", "schedule_from_json"))
+                        choices=("schedule_operator", "compile_unitary", "compile_unitary_cold",
+                                 "schedule_from_json"))
     parser.add_argument("--pairs", type=int, default=300)
     parser.add_argument("--warmup", type=int, default=5)
     args = parser.parse_args(argv)

@@ -20,8 +20,9 @@ benchmark's prep_trajectory runs; and one inverted full-control schedule.
 It also prints the SHA-256 of build_total's bytes at N in {1, 2, 3, 9, 12,
 64}, omega_1r in {0, 0.7, 1, 2.5} and phi_1r in {0, pi/2, pi, -2}, without
 and with a control term (omega_01 = 0.3, phi_01 = 0.7, delta_01 = 0.2), one
-SHA-256 per such N of control_element over every off-diagonal pair at
-omega_01 = 0.3 and phi_01 in {0, 0.5, -1.3}, and float.hex of the 3^N
+SHA-256 per such N of compiler._pair_coupling (h0's bytes, the rate, a0 and
+the sense) over every coupled pair of core._couplings, in both orientations,
+at omega_01 in {1e-3, 0.3}, and float.hex of the 3^N
 oracle's compare_spectrum and compare_evolution (T = 10 from |-,1>) for the
 equilateral triangle at C6 = 1e3, a seeded jittered
 2x2 square at C6 = 1e4 and a seeded jittered 3x2 array at C6 = 1e4 (the
@@ -73,7 +74,7 @@ HAMILTONIAN_NS = (1, 2, 3, 9, 12, 64)
 OMEGA_1RS = (0.0, 0.7, 1.0, 2.5)
 PHI_1RS = (0.0, math.pi / 2, math.pi, -2.0)
 CONTROLS = {"off": (0.0, 0.0, 0.0), "on": (0.3, 0.7, 0.2)}   # omega_01, phi_01, delta_01
-ELEMENT_PHASES = (0.0, 0.5, -1.3)   # phi_01 of the control_element digests
+PAIR_OMEGAS = (1e-3, 0.3)   # omega_01 of the _pair_coupling digests
 ORACLE_PULSE = (1.0, 1.0, 0.7, 1e-2, -2.1, 0.2)   # T, omega_1r, phi_1r, omega_01, phi_01, delta_01
 _MEASURE = "measure_projection "   # name prefix of the measurement cases
 _TRAJECTORY = "run_schedule "       # of the boundary-state cases
@@ -220,12 +221,13 @@ def main() -> None:
                     H = rq.build_total(rq.ModelParams(N), pulse)
                     out[f"build_total N={N} omega_1r={omega_1r!r} phi_1r={phi_1r!r} "
                         f"control={control}"] = _sha256(H.tobytes())
-        params = rq.ModelParams(N)
-        pairs = [(row, col) for row in range(params.dim) for col in range(params.dim) if row != col]
-        omega_01 = CONTROLS["on"][0]
-        elements = b"".join(core.control_element(params, omega_01, phi_01, *pair).tobytes()
-                            for phi_01 in ELEMENT_PHASES for pair in pairs)
-        out[f"control_element N={N}"] = _sha256(elements)
+        pairs = [pair for up, down in core._couplings(N) for pair in ((up, down), (down, up))]
+        couplings = []
+        for omega_01 in PAIR_OMEGAS:
+            for pair in pairs:
+                h0, rate, a0, sense = compiler._pair_coupling(N, omega_01, pair)
+                couplings += [np.complex128(h0).tobytes(), np.array([rate, a0, sense]).tobytes()]
+        out[f"_pair_coupling N={N}"] = _sha256(b"".join(couplings))
     h = math.sqrt(3) / 2
     jitter = np.random.default_rng(7).uniform(-0.1, 0.1, size=(4, 2))
     jitter_3x2 = np.random.default_rng(8).uniform(-0.1, 0.1, size=(6, 2))
