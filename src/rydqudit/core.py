@@ -71,9 +71,9 @@ class ModelParams:
 
     N runs from 1 to N_MAX, the one bound every entry point checks before it
     sizes anything by N.  At N_MAX a dense (2N+1)^2 matrix takes 0.27 MB, and
-    schedule_operator on one chunk of 32 pulses with 32 keys not yet cached
-    peaks at 49 MB of traced memory, 8.2 MB of it the key eigensystems that
-    stay cached.
+    schedule_operator, which stacks 3 pulses at a time there, peaks at 14 MB
+    of traced memory on 32 pulses with 32 keys not yet cached, 8.6 MB of it
+    the key eigensystems that stay cached.
     """
 
     N: int

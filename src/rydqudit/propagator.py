@@ -21,18 +21,21 @@ the N = 9 Hadamard.
 
 run_schedule applies each pulse to the state through its key's eigensystem.
 schedule_operator forms the pulse unitaries Z V exp(-i w T) V^dag Z^dag of
-_CHUNK pulses at a time in one stacked product and multiplies them as a
-pairwise tree, rather than applying each pulse to the operator in turn.
-That changes only the rounding: on the compiled schedules of
-tools/compile_digests.py the operator moves by at most 8e-15 in max |dU|
-against the pulse-by-pulse product.
+up to _CHUNK pulses at a time in one stacked product, fewer where the stack
+would pass _STACK_BYTES (N >= 23), and multiplies them as a pairwise tree,
+rather than applying each pulse to the operator in turn.  That changes only
+the rounding: on the compiled schedules of tools/compile_digests.py the
+operator moves by at most 8e-15 in max |dU| against the pulse-by-pulse
+product.
 
 A phase gate is O^-1 Phi O, and the compiler inverts each whole rotation
 and bare pulse of O by a pulse whose Hamiltonian is -H of the original in
 real arithmetic (_undoes), so its unitary is exp(-i H T)^dag.  The
 inverted pass is then F^dag for the product F of the forward pass, and
-schedule_operator evaluates such a mirrored run as F^dag (C F) without
-forming its inverse pulses: the N = 9 Hadamard forms 351 of its 668.  The
+schedule_operator evaluates such a mirrored block as F^dag (C F) without
+forming its inverse pulses: the N = 9 Hadamard forms 351 of its 668.  A
+block's forward run and core are formed together, in the same stacks, and
+their products are split at the boundary between them.  The
 rule is exact up to the rounding of phi + pi in the stored phases, and
 against forming every pulse it moves the operators of
 tools/compile_digests.py by at most 4.5e-15 in max |dU| (6.2e-15 on seeded
@@ -55,16 +58,20 @@ from .core import (
     QuditState,
     _diagonal,
     _excitations,
+    _integer,
     build_total,
     wrap_phase,
 )
 
 DEFAULT_SAMPLES_PER_PULSE = 64
 
-# Pulses per stacked product in schedule_operator.  Its temporaries then stay
-# near 1 MB at N = 9 whatever the schedule's length; stacking all 668 pulses
-# of the N = 9 Hadamard at once was slower and took 16 MB of traced memory.
+# Pulses per stacked product in schedule_operator: _CHUNK, or as many
+# (2N+1)^2 complex unitaries as fit in _STACK_BYTES where fewer do, so 32 up
+# to N = 22, 17 at N = 30 and 3 at N = 64.  The temporaries then stay near
+# 1 MB at N = 9 whatever the schedule's length; stacking all 668 pulses of
+# the N = 9 Hadamard at once was slower and took 16 MB of traced memory.
 _CHUNK = 32
+_STACK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -187,12 +194,12 @@ def run_schedule(initial: QuditState, schedule: PulseSchedule,
     samples_per_pulse and agree with evolving the pulses one after another
     to machine precision.
     """
-    if samples_per_pulse < 1:
+    n = _integer("samples_per_pulse", samples_per_pulse)
+    if n < 1:
         raise ValueError("samples_per_pulse must be >= 1")
     if initial.N != schedule.params.N:
         raise ValueError("initial state dimension does not match the schedule")
     params = schedule.params
-    n = samples_per_pulse
     size = 1 + sum(n if p.T != 0.0 else 1 for p in schedule.pulses)
     times = np.empty(size)
     states = np.empty((size, params.dim), dtype=complex)
@@ -230,45 +237,45 @@ def schedule_operator(schedule: PulseSchedule) -> np.ndarray:
     forward run F, a core C and then pulses that undo F's in reverse order
     (_undoes), evolves by G = F^dag (C F): its inverse pulses are never
     formed, and their keys are never diagonalised.  Any other stretch is
-    one block with no forward run.  Each run is multiplied by _product, so
-    temporary memory grows neither with the schedule's length nor with its
-    number of distinct keys.
+    one block with no forward run, multiplied straight into the operator.
+    A block's forward run and core are taken together, _stack_length
+    pulses at a time: the stack's eigensystems are gathered from the cache,
+    its unitaries Z V exp(-i w T) V^dag Z^dag are formed in one stacked
+    product, and the parts before and after the forward/core boundary are
+    each multiplied together as a pairwise tree.  Temporary memory grows
+    neither with the schedule's length nor with its number of distinct keys.
     """
     params = schedule.params
+    q, stack = _excitations(params.N), _stack_length(params.dim)
     pulses = [p for p in schedule.pulses if p.T != 0.0]
     U = np.eye(params.dim, dtype=complex)
     start = 0
     for forward, core in _mirrored_runs(pulses):
-        middle = start + forward
-        if forward:
-            F = _product(params.N, pulses[start:middle], np.eye(params.dim, dtype=complex))
-            U = F.conj().T @ _product(params.N, pulses[middle:middle + core], F) @ U
-        else:
-            U = _product(params.N, pulses[middle:middle + core], U)
-        start = middle + core + forward
+        middle, end = start + forward, start + forward + core
+        F, G = None, None if forward else U
+        for s in range(start, end, stack):
+            e = min(s + stack, end)
+            chunk = pulses[s:e]
+            w, V = map(np.array, zip(*(_key_eigensystem(params.N, p.omega_1r, p.phi_1r,
+                                                         p.omega_01, p.delta_01) for p in chunk)))
+            T = np.array([p.T for p in chunk])
+            ZV = np.exp(np.multiply.outer(-1j * np.array([p.phi_01 for p in chunk]), q)
+                        )[:, :, None] * V
+            steps = (ZV * np.exp(-1j * w * T[:, None])[:, None, :]) @ ZV.conj().transpose(0, 2, 1)
+            for lo, hi in ((s, min(middle, e)), (max(middle, s), e)):
+                if lo < hi:
+                    P = _time_ordered_product(steps[lo - s:hi - s])
+                    G = P if G is None else P @ G
+                    if hi == middle:
+                        F = G
+        U = F.conj().T @ G @ U if forward else G
+        start = end + forward
     return U
 
 
-def _product(N: int, pulses: list[PulseParams], U: np.ndarray) -> np.ndarray:
-    """The unitaries of non-zero pulses, in time order, multiplied into U.
-
-    The pulses are taken _CHUNK at a time: the eigensystems of the chunk's
-    pulses are stacked from the cache, the chunk's unitaries
-    Z V exp(-i w T) V^dag Z^dag are formed in one stacked product,
-    multiplied together as a pairwise tree, and the result is multiplied
-    into U.
-    """
-    q = _excitations(N)
-    for start in range(0, len(pulses), _CHUNK):
-        chunk = pulses[start:start + _CHUNK]
-        w, V = map(np.array, zip(*(_key_eigensystem(N, p.omega_1r, p.phi_1r, p.omega_01,
-                                                     p.delta_01) for p in chunk)))
-        T = np.array([p.T for p in chunk])
-        ZV = np.exp(np.multiply.outer(-1j * np.array([p.phi_01 for p in chunk]), q)
-                    )[:, :, None] * V
-        steps = (ZV * np.exp(-1j * w * T[:, None])[:, None, :]) @ ZV.conj().transpose(0, 2, 1)
-        U = _time_ordered_product(steps) @ U
-    return U
+def _stack_length(dim: int) -> int:
+    """Pulses per stacked product: _CHUNK, fewer once the stack passes _STACK_BYTES."""
+    return min(_CHUNK, _STACK_BYTES // (16 * dim * dim))
 
 
 def _undoes(q: PulseParams, p: PulseParams) -> bool:

@@ -30,13 +30,13 @@ from rydqudit.core import (
     wrap_phase,
 )
 from rydqudit.propagator import (
-    _CHUNK,
     PulseSchedule,
     _evolve,
     _gauge,
     _key_eigensystem,
     _mirrored_runs,
     _propagate,
+    _stack_length,
     extract_gate,
     interaction_frame,
     run_schedule,
@@ -107,6 +107,14 @@ def test_evolve_pulse_contracts():
     object.__setattr__(bad, "amplitudes", bad.amplitudes * 1.5)
     with pytest.raises(ContractViolation):
         run_schedule(bad, one_pulse).final_state
+
+
+@pytest.mark.parametrize("samples", [True, 2.5, "4", 0])
+def test_samples_per_pulse_must_be_a_positive_integer(samples):
+    # the one number rule: a bool, a float or a string is no sample count
+    state = QuditState.basis_state(2, DressedIndex.ground())
+    with pytest.raises(ValueError, match="samples_per_pulse"):
+        run_schedule(state, PulseSchedule(ModelParams(2), (PulseParams(1.0),)), samples)
 
 
 @given(seed=st.integers(0, 500), n_pulses=st.integers(1, 6))
@@ -484,13 +492,16 @@ def chunk_schedule(n, seed, keys):
     return PulseSchedule(ModelParams(N), [replace(random_pulse(rng), T=0.0)] + pulses)
 
 
-CHUNK_LENGTHS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+# the stack length of every chunk schedule, whose N is at most 4
+STACK = _stack_length(ModelParams(4).dim)
+CHUNK_LENGTHS = [0, 1, STACK - 1, STACK, STACK + 1, 2 * STACK + 1]
 
 
 @pytest.mark.parametrize("keys", [1, 3, None], ids=["one-key", "three-keys", "all-distinct"])
 @pytest.mark.parametrize("n", CHUNK_LENGTHS)
 def test_chunked_operator_matches_per_pulse_eigh(n, keys):
     schedule = chunk_schedule(n, 23, keys or max(n, 1))
+    assert _stack_length(schedule.params.dim) == STACK
     assert sum(p.T != 0.0 for p in schedule.pulses) == n
     assert len(distinct_keys(schedule)) == min(n, keys or n)
     U = schedule_operator(schedule)
@@ -544,20 +555,37 @@ def test_paired_operator_matches_the_per_pulse_product(name):
     assert np.max(np.abs(U - keyed_reference(schedule))) <= 1e-12
 
 
-@pytest.mark.parametrize("forward", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
-def test_random_mirror_around_a_random_core_is_paired(forward):
+def mirror_schedule(N, forward, core, seed):
     # random whole rotations and bare pulses, inverted by the compiler's own
-    # rule around a random two-pulse core, between two unpaired pulses
-    rng = np.random.default_rng((29, forward))
-    N = 4
+    # rule around a random core, between two unpaired pulses
+    rng = np.random.default_rng(seed)
     run = [replace(random_pulse(rng), omega_1r=1.0, label="fold(+,q=2)") if k % 3 else
            replace(random_pulse(rng), omega_01=0.0, delta_01=0.0, label="doublet:z")
            for k in range(forward)]
-    core = [random_pulse(rng, "phase:a"), random_pulse(rng, "phase:b")]
+    middle = [random_pulse(rng, "phase:a"), random_pulse(rng, "phase:b")]
+    middle += [random_pulse(rng) for _ in range(core - 2)]
     mirror = [_invert_pulse(p, N) for p in reversed(run)]
-    schedule = PulseSchedule(ModelParams(N), [random_pulse(rng)] + run + core + mirror
+    schedule = PulseSchedule(ModelParams(N), [random_pulse(rng)] + run + middle + mirror
                              + [random_pulse(rng)])
-    assert _mirrored_runs(list(schedule.pulses)) == [(0, 1), (forward, 2), (0, 1)]
+    assert _mirrored_runs(list(schedule.pulses)) == [(0, 1), (forward, core), (0, 1)]
+    return schedule
+
+
+@pytest.mark.parametrize("forward", [STACK - 1, STACK, STACK + 1])
+def test_random_mirror_around_a_random_core_is_paired(forward):
+    schedule = mirror_schedule(4, forward, 2, (29, forward))
+    U = schedule_operator(schedule)
+    assert np.max(np.abs(U - keyed_reference(schedule))) <= 1e-12
+
+
+@pytest.mark.parametrize("N,stack,forward", [(4, 32, 15), (30, 17, 16)],
+                         ids=["straddle", "byte-cap"])
+def test_mirrored_block_across_stack_boundaries(N, stack, forward):
+    # a forward run ending inside a stack, its core of one stack's length
+    # running on across the stack boundary; at N = 30 the stack is capped by
+    # bytes below 32 pulses
+    assert _stack_length(2 * N + 1) == stack
+    schedule = mirror_schedule(N, forward, stack, (31, N))
     U = schedule_operator(schedule)
     assert np.max(np.abs(U - keyed_reference(schedule))) <= 1e-12
 

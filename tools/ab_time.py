@@ -1,7 +1,7 @@
 """Interleaved timing of one operation in two checkouts, in one interpreter.
 
-Usage: python3 tools/ab_time.py PARENT_ROOT [CHANGE_ROOT] [--op OP] [--pairs N]
-                                [--warmup N]
+Usage: python3 tools/ab_time.py PARENT_ROOT [CHANGE_ROOT] [--op OP] [--n N]
+                                [--pairs N] [--warmup N]
 
 Loads rydqudit from PARENT_ROOT/src and from CHANGE_ROOT/src (default: the
 checkout holding this script) as two packages of their own names, through
@@ -15,8 +15,12 @@ Separate benchmark runs on a shared 2-CPU host read unchanged code up to
 x1.35 apart, which hides small changes; pairs taken microseconds apart
 share the host's slow and fast phases, so their ratio is far steadier.
 
-The ops, all on the generalized Hadamard at N = 9, ratio 1e-2 (668 pulses):
+The ops, all on the generalized Hadamard at ratio 1e-2 and N = --n (default
+9, whose schedule holds 668 pulses):
   schedule_operator     the realized operator of the compiled schedule
+  extract_gate          the gate and its infidelity to the target, read off
+                        the schedule as read back from its JSON document,
+                        as the benchmark's simulate step does
   compile_unitary       compiling the gate
   compile_unitary_cold  compiling the gate after clearing every functools
                         cache defined in the side's rydqudit.core and
@@ -41,7 +45,6 @@ import sys
 import time
 from pathlib import Path
 
-N = 9
 RATIO = 1e-2
 
 
@@ -56,8 +59,8 @@ def load(root: Path, name: str):
     return module
 
 
-def make_op(rq, op: str):
-    """A no-argument callable running op with rq's own inputs."""
+def make_op(rq, op: str, N: int):
+    """A no-argument callable running op at N atoms with rq's own inputs."""
     goal = rq.hadamard_target(N)
     opts = rq.CompileOptions(omega_01=RATIO)
     if op == "compile_unitary":
@@ -74,9 +77,12 @@ def make_op(rq, op: str):
     schedule = rq.compile_unitary(goal, opts)
     if op == "schedule_operator":
         return lambda: rq.schedule_operator(schedule)
+    text = rq.schedule_to_json(schedule)
     if op == "schedule_from_json":
-        text = rq.schedule_to_json(schedule)
         return lambda: rq.schedule_from_json(text)
+    if op == "extract_gate":
+        back = rq.schedule_from_json(text)
+        return lambda: rq.extract_gate(back, goal)
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -92,14 +98,15 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, nargs="?",
                         default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--op", default="schedule_operator",
-                        choices=("schedule_operator", "compile_unitary", "compile_unitary_cold",
-                                 "schedule_from_json"))
+                        choices=("schedule_operator", "extract_gate", "compile_unitary",
+                                 "compile_unitary_cold", "schedule_from_json"))
+    parser.add_argument("--n", type=int, default=9)
     parser.add_argument("--pairs", type=int, default=300)
     parser.add_argument("--warmup", type=int, default=5)
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.warmup < 0:
         parser.error("--pairs must be >= 1 and --warmup >= 0")
-    calls = [make_op(load(root.resolve(), name), args.op)
+    calls = [make_op(load(root.resolve(), name), args.op, args.n)
              for root, name in ((args.parent, "rydqudit_parent"),
                                 (args.change, "rydqudit_change"))]
     for _ in range(args.warmup):      # fills each side's caches
@@ -114,6 +121,7 @@ def main(argv=None) -> int:
     q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(json.dumps({
         "op": args.op,
+        "N": args.n,
         "pairs": args.pairs,
         "parent_median_s": statistics.median(times[0]),
         "change_median_s": statistics.median(times[1]),
